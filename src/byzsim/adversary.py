@@ -26,8 +26,7 @@ helper constructors below build the common ones.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import Configuration, check_alpha
 from .simnet import AdversarySpec, AdversaryStrategy, ForgeryError, Scenario

@@ -127,9 +127,13 @@ def cmd_simulate(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid scenario: {exc}") from None
 
-    outcome, transcripts = run_simulation(
-        scenario, record_transcripts=args.transcripts is not None
-    )
+    try:
+        outcome, transcripts = run_simulation(
+            scenario, record_transcripts=args.transcripts is not None
+        )
+    except ValueError as exc:
+        # Faults such as an unknown adversary show only when the run is built.
+        raise UsageError(f"invalid scenario: {exc}") from None
     out_doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.to_json(),

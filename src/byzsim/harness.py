@@ -16,13 +16,15 @@ outcome, so the dedup only removes literal repeats.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import io
 import json
 import random
 import time
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import predgen
 from .adversary import (
@@ -45,7 +47,7 @@ from .core import (
     theoretical_impossibility,
     theoretical_smoothness,
 )
-from .simnet import Outcome, Scenario, Transcript, payload_to_bytes, run_simulation
+from .simnet import Outcome, Scenario, Transcript, derive_seed, run_simulation
 
 INPUT_PATTERNS = ("all_zero", "all_one", "half_split", "random")
 PLACEMENTS = ("high", "low", "random")
@@ -79,12 +81,6 @@ SWEEP_FIELDS = (
     "adversary_set_hash",
 )
 CURVE_FIELDS = ("mode", "alpha", "n", "eta", "s", "sbar", "sbar_conditional_flag")
-
-
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from a tuple of trial coordinates."""
-    blob = "|".join(map(str, parts))
-    return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
 
 
 def library_names(honest_count: int, include: Sequence[str] = LIBRARY):
@@ -222,50 +218,86 @@ class RunCache:
         return out
 
 
-def _trial_scenario(mode, alpha, n, config, prediction, adv_name, trial_seed):
-    spec = materialize_adversary(adv_name, config)
+def _scenario(mode, alpha, config, prediction, adv_name, trial_seed,
+              protocol=None, **params) -> Scenario:
     # Only the noise strategy consumes scenario.seed; pinning it to zero for
     # the deterministic strategies lets identical trials share one run.
-    return Scenario(
-        n=n,
-        mode=mode,
-        alpha=alpha,
-        config=config,
-        prediction=prediction,
-        adversary=spec,
-        seed=trial_seed if adv_name == "noise" else 0,
-        protocol=WRAPPER_PROTOCOL[mode],
-    )
+    return Scenario(n=config.n, mode=mode, alpha=alpha, config=config,
+                    prediction=prediction,
+                    adversary=materialize_adversary(adv_name, config),
+                    seed=trial_seed if adv_name == "noise" else 0,
+                    protocol=protocol or WRAPPER_PROTOCOL[mode], params=params)
 
 
-def _record(label, scenario, adv_name, extra, checks) -> dict:
-    rec = {
-        "battery": label,
-        "mode": scenario.mode,
-        "alpha": str(scenario.alpha),
-        "n": scenario.n,
-        "adversary": adv_name,
-        "agreement": checks["agreement"],
-        "validity": checks["validity"],
-        "termination": checks["termination"],
-    }
-    rec.update(extra)
-    return rec
+def _trial(coords, f, adv_name, pattern, predict, unique=False) -> Scenario:
+    """One seeded trial of a wrapper battery.
+
+    ``coords`` is ``(battery, seed, mode, alpha, n, ..., k)``. The seed
+    derived from it drives, in this order, the fault placement, random
+    inputs and ``predict(config, rng)``. Placement rotates with k only on
+    trials that are ``unique`` anyway (random inputs or predictions); the
+    others keep the high block so identical repeats collapse in the run
+    cache.
+    """
+    mode, alpha, n = coords[2:5]
+    placement = PLACEMENTS[coords[-1] % 3] if unique else "high"
+    trial_seed = derive_seed(*coords)
+    rng = random.Random(trial_seed)
+    faulty = make_faulty(n, f, placement, rng)
+    config = Configuration(n, faulty, make_inputs(
+        frozenset(range(1, n + 1)) - faulty, pattern, rng))
+    return _scenario(mode, alpha, config, predict(config, rng), adv_name, trial_seed)
 
 
-def _report(suite, ok, runs, cache, violations, t0, **extra) -> dict:
-    rep = {
-        "suite": suite,
-        "ok": ok,
-        "trials": runs,
-        "unique_runs": cache.misses if cache else runs,
-        "memo_hits": cache.hits if cache else 0,
-        "violation_count": len(violations),
-        "violations": violations[:40],
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-    }
-    rep.update(extra)
-    return rep
+class _Battery:
+    """Tally of one battery: runs trials, records violations, reports."""
+
+    def __init__(self, suite, cache=None):
+        self.suite = suite
+        self.t0 = time.perf_counter()
+        self.cache = cache or RunCache()
+        self.runs = 0
+        self.violations = []
+
+    def run(self, scenario) -> Outcome:
+        self.runs += 1
+        return self.cache.run(scenario)
+
+    def check(self, scenario, adv_name, extra, *, check=check_outcome, label=None):
+        """Run, check and, on failure, record one trial."""
+        outcome = self.run(scenario)
+        checks = check(scenario, outcome)
+        if not checks["ok"]:
+            self.record(scenario, adv_name, extra, checks, label)
+        return outcome, checks
+
+    def record(self, scenario, adv_name, extra, checks, label=None):
+        rec = {
+            "battery": label or self.suite,
+            "mode": scenario.mode,
+            "alpha": str(scenario.alpha),
+            "n": scenario.n,
+            "adversary": adv_name,
+            "agreement": checks["agreement"],
+            "validity": checks["validity"],
+            "termination": checks["termination"],
+        }
+        rec.update(extra)
+        self.violations.append(rec)
+
+    def report(self, ok=True, **extra) -> dict:
+        rep = {
+            "suite": self.suite,
+            "ok": ok and not self.violations,
+            "trials": self.runs,
+            "unique_runs": self.cache.misses,
+            "memo_hits": self.cache.hits,
+            "violation_count": len(self.violations),
+            "violations": self.violations[:40],
+            "elapsed_s": round(time.perf_counter() - self.t0, 3),
+        }
+        rep.update(extra)
+        return rep
 
 
 def _grid(grid=None):
@@ -288,37 +320,19 @@ def verify_consistency(*, seeds: int = 100, grid=None, seed: int = 0, cache=None
     against every input pattern for `seeds` seeded trials, with the faulty
     placement rotating per trial.
     """
-    t0 = time.perf_counter()
-    cache = cache or RunCache()
-    violations, runs, cells = [], 0, _grid(grid)
+    tally, cells = _Battery("consistency", cache), _grid(grid)
     for mode, alpha, n in cells:
         f = consistency_bound(mode, alpha, n)
-        names = library_names(n - f)
-        for adv_name in names:
+        for adv_name in library_names(n - f):
             for pattern in INPUT_PATTERNS:
                 for k in range(seeds):
-                    trial_seed = derive_seed(
-                        "consistency", seed, mode, alpha, n, adv_name, pattern, k
-                    )
-                    rng = random.Random(trial_seed)
-                    # Placement rotates only on trials that are unique anyway
-                    # (random inputs); deterministic trials keep the high
-                    # block so identical repeats collapse in the run cache.
-                    placement = PLACEMENTS[k % 3] if pattern == "random" else "high"
-                    faulty = make_faulty(n, f, placement, rng)
-                    config = Configuration(n, faulty, make_inputs(
-                        frozenset(range(1, n + 1)) - faulty, pattern, rng))
-                    sc = _trial_scenario(
-                        mode, alpha, n, config, frozenset(config.honest),
-                        adv_name, trial_seed)
-                    checks = check_outcome(sc, cache.run(sc))
-                    runs += 1
-                    if not checks["ok"]:
-                        violations.append(_record(
-                            "consistency", sc, adv_name,
-                            {"f": f, "pattern": pattern, "trial": k}, checks))
-    return _report("consistency", not violations, runs, cache, violations, t0,
-                   cells=len(cells))
+                    sc = _trial(
+                        ("consistency", seed, mode, alpha, n, adv_name, pattern, k),
+                        f, adv_name, pattern,
+                        lambda config, rng: frozenset(config.honest),
+                        unique=pattern == "random")
+                    tally.check(sc, adv_name, {"f": f, "pattern": pattern, "trial": k})
+    return tally.report(cells=len(cells))
 
 
 ROBUSTNESS_PREDICTIONS = ("faulty", "empty", "everyone", "random")
@@ -343,95 +357,63 @@ def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None)
     Same trial matrix as verify_consistency; the prediction kind cycles
     through faulty-set / empty / everyone / seeded-random per trial.
     """
-    t0 = time.perf_counter()
-    cache = cache or RunCache()
-    violations, runs, cells = [], 0, _grid(grid)
+    tally, cells = _Battery("robustness", cache), _grid(grid)
     for mode, alpha, n in cells:
         f = robustness_bound(mode, alpha, n)
-        names = library_names(n - f)
-        for adv_name in names:
+        for adv_name in library_names(n - f):
             for pattern in INPUT_PATTERNS:
                 for k in range(seeds):
-                    trial_seed = derive_seed(
-                        "robustness", seed, mode, alpha, n, adv_name, pattern, k)
-                    rng = random.Random(trial_seed)
                     kind = ROBUSTNESS_PREDICTIONS[k % 4]
-                    # Same reasoning as in verify_consistency: explore fault
-                    # placements on the trials that are already unique.
-                    unique = pattern == "random" or kind == "random"
-                    placement = PLACEMENTS[k % 3] if unique else "high"
-                    faulty = make_faulty(n, f, placement, rng)
-                    config = Configuration(n, faulty, make_inputs(
-                        frozenset(range(1, n + 1)) - faulty, pattern, rng))
-                    pred = _robustness_prediction(kind, config, rng)
-                    sc = _trial_scenario(mode, alpha, n, config, pred,
-                                         adv_name, trial_seed)
-                    checks = check_outcome(sc, cache.run(sc))
-                    runs += 1
-                    if not checks["ok"]:
-                        violations.append(_record(
-                            "robustness", sc, adv_name,
-                            {"f": f, "pattern": pattern, "prediction": kind,
-                             "trial": k}, checks))
-    return _report("robustness", not violations, runs, cache, violations, t0,
-                   cells=len(cells))
+                    sc = _trial(
+                        ("robustness", seed, mode, alpha, n, adv_name, pattern, k),
+                        f, adv_name, pattern,
+                        functools.partial(_robustness_prediction, kind),
+                        unique=pattern == "random" or kind == "random")
+                    tally.check(sc, adv_name, {"f": f, "pattern": pattern,
+                                               "prediction": kind, "trial": k})
+    return tally.report(cells=len(cells))
 
 
 def smoothness_cell(mode, alpha, n, eta, split, *, seeds: int = 50, seed: int = 0,
                     cache=None, adversaries=None) -> list:
     """Run one (eta, split) cell at f = theoretical_smoothness(eta)."""
-    cache = cache or RunCache()
+    tally = _Battery("smoothness", cache)
     alpha = check_alpha(mode, alpha)
     f = theoretical_smoothness(mode, alpha, n, eta)
-    names = adversaries or library_names(n - f)
-    violations = []
-    for adv_name in names:
+    for adv_name in adversaries or library_names(n - f):
         for k in range(seeds):
             pattern = INPUT_PATTERNS[k % 4]
-            trial_seed = derive_seed(
-                "smoothness", seed, mode, alpha, n, eta, split, adv_name, k)
-            rng = random.Random(trial_seed)
-            faulty = make_faulty(n, f, "high", rng)
-            config = Configuration(n, faulty, make_inputs(
-                frozenset(range(1, n + 1)) - faulty, pattern, rng))
-            pred = build_eta_prediction(config, eta, split)
-            assert compute_error(config, pred).total == eta
-            sc = _trial_scenario(mode, alpha, n, config, pred, adv_name, trial_seed)
-            checks = check_outcome(sc, cache.run(sc))
-            if not checks["ok"]:
-                violations.append(_record(
-                    "smoothness", sc, adv_name,
-                    {"f": f, "eta": eta, "split": split, "pattern": pattern,
-                     "trial": k}, checks))
-    return violations
+            sc = _trial(("smoothness", seed, mode, alpha, n, eta, split, adv_name, k),
+                        f, adv_name, pattern,
+                        lambda config, rng: build_eta_prediction(config, eta, split))
+            assert compute_error(sc.config, sc.prediction).total == eta
+            tally.check(sc, adv_name, {"f": f, "eta": eta, "split": split,
+                                       "pattern": pattern, "trial": k})
+    return tally.violations
 
 
 def empirical_resilience(mode, alpha, n, eta, *, split: str = "worst_case",
                          trials: int = 12, seed: int = 0, cache=None,
-                         scan_margin: int = 6) -> int:
+                         scan_margin: int = 6, adversaries=LIBRARY) -> int:
     """Largest tested fault count with zero observed violations at this eta.
 
     The scan starts at the theoretical value and walks outward: upward to
     theory + scan_margin (capped at n - 1) while trials stay clean, downward
     if the theoretical cell itself shows a violation. Trials rotate over the
-    adversary library and input patterns.
+    adversaries (a subset of the library) and input patterns.
     """
     cache = cache or RunCache()
     alpha = check_alpha(mode, alpha)
 
     def cell_clean(f: int) -> bool:
-        names = library_names(n - f)
+        names = library_names(n - f, adversaries)
+        if not names:  # e.g. only split_brain, with fewer than two honest nodes
+            return False
         for k in range(trials):
             adv_name = names[k % len(names)]
-            pattern = INPUT_PATTERNS[k % 4]
-            trial_seed = derive_seed(
-                "sweep", seed, mode, alpha, n, eta, split, f, adv_name, k)
-            rng = random.Random(trial_seed)
-            faulty = make_faulty(n, f, "high", rng)
-            config = Configuration(n, faulty, make_inputs(
-                frozenset(range(1, n + 1)) - faulty, pattern, rng))
-            pred = build_eta_prediction(config, eta, split)
-            sc = _trial_scenario(mode, alpha, n, config, pred, adv_name, trial_seed)
+            sc = _trial(("sweep", seed, mode, alpha, n, eta, split, f, adv_name, k),
+                        f, adv_name, INPUT_PATTERNS[k % 4],
+                        lambda config, rng: build_eta_prediction(config, eta, split))
             if not check_outcome(sc, cache.run(sc))["ok"]:
                 return False
         return True
@@ -465,7 +447,7 @@ def sweep(mode, alpha, n, *, etas=None, split: str = "worst_case",
         sbar, flag = theoretical_impossibility(mode, alpha, n, eta)
         emp = empirical_resilience(mode, alpha, n, eta, split=split,
                                    trials=trials, seed=seed, cache=cache,
-                                   scan_margin=scan_margin)
+                                   scan_margin=scan_margin, adversaries=names)
         rows.append({
             "mode": mode,
             "alpha": str(alpha),
@@ -523,30 +505,25 @@ def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
     f = theoretical_smoothness(eta); then a sweep checks the empirical curve
     sits pointwise at or above the theoretical one.
     """
-    t0 = time.perf_counter()
-    cache = cache or RunCache()
-    violations, runs, below = [], 0, []
-    sweeps = {}
+    tally, below, sweeps = _Battery("smoothness", cache), [], {}
     for mode, alpha, n in flagships:
         alpha = check_alpha(mode, alpha)
         for eta in range(n + 1):
             for split in ETA_SPLITS:
                 names = library_names(
                     n - theoretical_smoothness(mode, alpha, n, eta))
-                runs += len(names) * seeds
-                violations.extend(smoothness_cell(
+                tally.runs += len(names) * seeds
+                tally.violations.extend(smoothness_cell(
                     mode, alpha, n, eta, split, seeds=seeds, seed=seed,
-                    cache=cache))
+                    cache=tally.cache))
         rows = sweep(mode, alpha, n, trials=sweep_trials, seed=seed,
-                     scan_margin=scan_margin, cache=cache)
+                     scan_margin=scan_margin, cache=tally.cache)
         sweeps[f"{mode}:{alpha}:{n}"] = rows
         below.extend(
             {"mode": mode, "alpha": str(alpha), "n": n, "eta": r["eta"],
              "theory_s": r["theory_s"], "empirical_f": r["empirical_f"]}
             for r in rows if r["empirical_f"] < r["theory_s"])
-    ok = not violations and not below
-    return _report("smoothness", ok, runs, cache, violations, t0,
-                   pointwise_below=below, sweeps=sweeps)
+    return tally.report(not below, pointwise_below=below, sweeps=sweeps)
 
 
 IMPOSSIBILITY_POINTS = (
@@ -616,15 +593,13 @@ def _replay_triple(protocol: str, n: int):
     in_a = {i: 0 for i in a_side}
     in_b = {i: 1 for i in b_side}
 
-    def sc(faulty, inputs, adversary):
-        return Scenario(n=n, mode=mode, alpha=alpha,
-                        config=Configuration(n, frozenset(faulty), inputs),
-                        prediction=pred, adversary=adversary, seed=0,
-                        protocol=protocol)
+    def sc(faulty, inputs, adv_name):
+        return _scenario(mode, alpha, Configuration(n, frozenset(faulty), inputs),
+                         pred, adv_name, 0, protocol)
 
-    cfg1 = sc(b_side, in_a, replay_honest(1))
-    cfg2 = sc(a_side, in_b, replay_honest(0))
-    cfg3 = sc((), in_a | in_b, silent())
+    cfg1 = sc(b_side, in_a, "replay_one")
+    cfg2 = sc(a_side, in_b, "replay_zero")
+    cfg3 = sc((), in_a | in_b, "silent")
     return (a_side, b_side), (cfg1, cfg2, cfg3)
 
 
@@ -729,9 +704,7 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
     tallied into the report as data, never asserted: honest nodes that
     disagree about the active set can split even with every node honest.
     """
-    t0 = time.perf_counter()
-    cache = cache or RunCache()
-    violations, runs = [], 0
+    tally = _Battery("local", cache)
     divergent_runs = divergent_failures = 0
     for mode, alpha, n in grid:
         alpha = check_alpha(mode, alpha)
@@ -741,64 +714,45 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
             pattern = INPUT_PATTERNS[k % 4]
             kind = LOCAL_PREDICTIONS[(k // 4) % len(LOCAL_PREDICTIONS)]
             f = f_cons if kind == "perfect" else f_rob
+            unique = kind == "noisy" or pattern == "random"
+            predict = functools.partial(_local_prediction, kind)
             for adv_name in library_names(n - f):
-                trial_seed = derive_seed("local", seed, mode, alpha, n,
-                                         adv_name, kind, k)
-                rng = random.Random(trial_seed)
-                unique = kind == "noisy" or pattern == "random"
-                placement = PLACEMENTS[k % 3] if unique else "high"
-                faulty = make_faulty(n, f, placement, rng)
-                config = Configuration(n, faulty, make_inputs(
-                    frozenset(range(1, n + 1)) - faulty, pattern, rng))
-                preds = _local_prediction(kind, config, rng)
-                sc = _trial_scenario(mode, alpha, n, config, preds,
-                                     adv_name, trial_seed)
-                outcome = cache.run(sc)
-                checks = check_outcome(sc, outcome)
-                runs += 1
+                sc = _trial(("local", seed, mode, alpha, n, adv_name, kind, k),
+                            f, adv_name, pattern, predict, unique)
                 if kind == "noisy":
                     divergent_runs += 1
-                    if not checks["ok"]:
+                    if not check_outcome(sc, tally.run(sc))["ok"]:
                         divergent_failures += 1
                     continue
-                if not checks["ok"]:
-                    violations.append(_record(
-                        "local", sc, adv_name,
-                        {"f": f, "pattern": pattern, "prediction": kind,
-                         "trial": k}, checks))
-                twin = _trial_scenario(mode, alpha, n, config,
-                                       next(iter(preds.values())),
-                                       adv_name, trial_seed)
-                twin_outcome = cache.run(twin)
-                runs += 1
-                if (outcome.decisions != twin_outcome.decisions
-                        or outcome.decided_round != twin_outcome.decided_round):
-                    violations.append(_record(
-                        "local", sc, adv_name,
-                        {"f": f, "pattern": pattern, "prediction": kind,
-                         "trial": k, "check": "constant-vs-global",
-                         "local_round": outcome.decided_round,
-                         "global_round": twin_outcome.decided_round}, checks))
+                extra = {"f": f, "pattern": pattern, "prediction": kind, "trial": k}
+                outcome, checks = tally.check(sc, adv_name, extra)
+                twin = tally.run(dataclasses.replace(
+                    sc, prediction=next(iter(sc.prediction.values()))))
+                if (outcome.decisions != twin.decisions
+                        or outcome.decided_round != twin.decided_round):
+                    tally.record(sc, adv_name, {
+                        **extra, "check": "constant-vs-global",
+                        "local_round": outcome.decided_round,
+                        "global_round": twin.decided_round}, checks)
     t52 = run_impossibility_suite("T5.2", Fraction(1, 2), 8)
     if not t52["demonstrated"]:
-        violations.append({"battery": "local", "check": "t52-demonstration",
-                           "detail": "no failing configuration found"})
-    return _report("local", not violations, runs, cache, violations, t0,
-                   divergent_runs=divergent_runs,
-                   divergent_failures=divergent_failures,
-                   t52_demonstrated=t52["demonstrated"])
+        tally.violations.append({"battery": "local", "check": "t52-demonstration",
+                                 "detail": "no failing configuration found"})
+    return tally.report(divergent_runs=divergent_runs,
+                        divergent_failures=divergent_failures,
+                        t52_demonstrated=t52["demonstrated"])
 
 
-def _broadcast_checks(scenario: Scenario, outcome: Outcome, sender: int,
-                      sender_value: Optional[int]) -> dict:
+def _broadcast_checks(scenario: Scenario, outcome: Outcome) -> dict:
     honest = sorted(scenario.config.honest)
     decisions = [outcome.decisions.get(i) for i in honest]
     termination = all(d is not None for d in decisions)
     consistency = termination and len(set(decisions)) <= 1
-    if sender in scenario.config.faulty or sender_value is None:
+    sender = scenario.params["sender"]
+    if sender in scenario.config.faulty:
         validity = True
     else:
-        validity = termination and set(decisions) == {sender_value}
+        validity = termination and set(decisions) == {scenario.config.inputs[sender]}
     return {"agreement": consistency, "validity": validity,
             "termination": termination,
             "engine_consistent": True,
@@ -813,40 +767,29 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
     key minted by the adversary), so a green battery certifies the
     unforgeability check never fired.
     """
-    t0 = time.perf_counter()
-    cache = cache or RunCache()
-    violations, runs = [], 0
+    tally = _Battery("protocols", cache)
 
     # Four-node king micro-battery: every honest input vector, both fault
     # placements, full adversary library.
     m, t = 4, 1
     for faulty in ({4}, {1}):
         honest = sorted(set(range(1, m + 1)) - faulty)
-        names = library_names(len(honest))
         for bits in range(8):
             inputs = {i: (bits >> k) & 1 for k, i in enumerate(honest)}
             config = Configuration(m, frozenset(faulty), inputs)
-            for adv_name in names:
+            for adv_name in library_names(len(honest)):
                 for k in range(pk_seeds):
                     trial_seed = derive_seed("pk", seed, min(faulty), bits,
                                              adv_name, k)
-                    sc = Scenario(
-                        n=m, mode="nonauth", alpha=Fraction(2, 3),
-                        config=config, prediction=None,
-                        adversary=materialize_adversary(adv_name, config),
-                        seed=trial_seed if adv_name == "noise" else 0,
-                        protocol="phase_king", params={"t": t})
-                    checks = check_outcome(sc, cache.run(sc))
-                    runs += 1
-                    if not checks["ok"]:
-                        violations.append(_record(
-                            "phase_king", sc, adv_name,
-                            {"t": t, "inputs": inputs, "trial": k}, checks))
+                    sc = _scenario("nonauth", Fraction(2, 3), config, None, adv_name,
+                                   trial_seed, "phase_king", t=t)
+                    tally.check(sc, adv_name, {"t": t, "inputs": inputs, "trial": k},
+                                label="phase_king")
 
-    # Signed broadcast: honest senders must convey their value; equivocating
-    # (split-brain) senders must still leave the honest nodes in agreement.
+    # Signed broadcast from node 1: an honest sender must convey its value;
+    # an equivocating (split-brain) sender must still leave the honest nodes
+    # in agreement.
     for m in (4, 7):
-        everyone = list(range(1, m + 1))
         for t in range(0, m - 1):
             cases = []
             for value in (0, 1):
@@ -860,33 +803,18 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                 cases.append(({1, m}, None, "split_brain"))
             for faulty, value, adv_name in cases:
                 faulty = frozenset(faulty)
-                honest = sorted(set(everyone) - faulty)
-                sender = 1
+                honest = sorted(set(range(1, m + 1)) - faulty)
                 inputs = {i: (value if value is not None else 0) for i in honest}
                 config = Configuration(m, faulty, inputs)
-                if adv_name == "split_brain":
-                    half = len(honest) // 2
-                    spec = split_brain((honest[:half], honest[half:]), 0, 1)
-                else:
-                    spec = materialize_adversary(adv_name, config)
                 for k in range(ds_seeds):
                     trial_seed = derive_seed("ds", seed, m, t, sorted(faulty),
                                              value, adv_name, k)
-                    sc = Scenario(
-                        n=m, mode="auth", alpha=Fraction(3, 4), config=config,
-                        prediction=None, adversary=spec,
-                        seed=trial_seed if adv_name == "noise" else 0,
-                        protocol="dolev_strong_broadcast",
-                        params={"t": t, "sender": sender})
-                    out = cache.run(sc)
-                    checks = _broadcast_checks(
-                        sc, out, sender, value if sender not in faulty else None)
-                    runs += 1
-                    if not checks["ok"]:
-                        violations.append(_record(
-                            "dolev_strong_broadcast", sc, adv_name,
-                            {"t": t, "sender_faulty": sender in faulty,
-                             "value": value, "trial": k}, checks))
+                    sc = _scenario("auth", Fraction(3, 4), config, None, adv_name,
+                                   trial_seed, "dolev_strong_broadcast", t=t, sender=1)
+                    tally.check(sc, adv_name,
+                                {"t": t, "sender_faulty": 1 in faulty, "value": value,
+                                 "trial": k},
+                                check=_broadcast_checks, label="dolev_strong_broadcast")
 
     # Multi-sender agreement built on the broadcast, small confidence pass.
     m, t = 7, 2
@@ -899,23 +827,14 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                 rng = random.Random(trial_seed)
                 config = Configuration(m, config_faulty,
                                        make_inputs(honest, pattern, rng))
-                sc = Scenario(
-                    n=m, mode="auth", alpha=Fraction(3, 4), config=config,
-                    prediction=None,
-                    adversary=materialize_adversary(adv_name, config),
-                    seed=trial_seed if adv_name == "noise" else 0,
-                    protocol="dolev_strong_ba", params={"t": t})
-                checks = check_outcome(sc, cache.run(sc))
-                runs += 1
-                if not checks["ok"]:
-                    violations.append(_record(
-                        "dolev_strong_ba", sc, adv_name,
-                        {"t": t, "pattern": pattern, "trial": k}, checks))
+                sc = _scenario("auth", Fraction(3, 4), config, None, adv_name,
+                               trial_seed, "dolev_strong_ba", t=t)
+                tally.check(sc, adv_name, {"t": t, "pattern": pattern, "trial": k},
+                            label="dolev_strong_ba")
 
     # The engine's ledger audit raises ForgeryError mid-battery if it ever
     # fires, so reaching this line proves it stayed silent for every run.
-    return _report("protocols", not violations, runs, cache, violations, t0,
-                   ledger_fired=False)
+    return tally.report(ledger_fired=False)
 
 
 VERIFY_SUITES = {

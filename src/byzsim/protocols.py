@@ -13,7 +13,6 @@ garbage are treated alike). Broadcasts include the sender itself.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from .simnet import payload_digest

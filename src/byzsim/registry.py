@@ -15,61 +15,47 @@ from .protocols import DolevStrongBA, DolevStrongBroadcast, PhaseKing
 from .simnet import NodeCtx
 
 
-def _require_mode(ctx: NodeCtx, mode: str, protocol: str):
-    if ctx.mode != mode:
-        raise ValueError(f"protocol {protocol!r} runs in {mode} mode, not {ctx.mode}")
-
-
-def _participants(ctx: NodeCtx):
+def _group(ctx: NodeCtx, resilience: int):
+    """Participants and budget t: by default everyone, at the largest t with
+    resilience * t < len(group)."""
     p = ctx.params.get("participants")
-    return tuple(sorted(p)) if p else tuple(range(1, ctx.n + 1))
+    group = tuple(sorted(p)) if p else tuple(range(1, ctx.n + 1))
+    return group, ctx.params.get("t", math.ceil(len(group) / resilience) - 1)
 
 
 def _pred(ctx: NodeCtx):
     return ctx.prediction if ctx.prediction is not None else frozenset()
 
 
+def _dolev_strong_broadcast(ctx: NodeCtx):
+    group, t = _group(ctx, 2)
+    sender = ctx.params.get("sender", group[0])
+    return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
+
+
+# protocol name -> (the mode it runs in, NodeCtx -> instance)
+_PROTOCOLS = {
+    "pred_ba": ("nonauth", lambda ctx: PredBA(
+        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n)),
+    "auth_pred_ba": ("auth", lambda ctx: AuthPredBA(
+        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.signer)),
+    "phase_king": ("nonauth", lambda ctx: PhaseKing(
+        ctx.node_id, ctx.input, *_group(ctx, 3))),
+    "dolev_strong_ba": ("auth", lambda ctx: DolevStrongBA(
+        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer)),
+    "dolev_strong_broadcast": ("auth", _dolev_strong_broadcast),
+}
+
+
 def factory_for(scenario):
     name = scenario.protocol
-
-    if name == "pred_ba":
-
-        def make(ctx: NodeCtx):
-            _require_mode(ctx, "nonauth", name)
-            return PredBA(ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n)
-
-    elif name == "auth_pred_ba":
-
-        def make(ctx: NodeCtx):
-            _require_mode(ctx, "auth", name)
-            return AuthPredBA(ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.signer)
-
-    elif name == "phase_king":
-
-        def make(ctx: NodeCtx):
-            _require_mode(ctx, "nonauth", name)
-            group = _participants(ctx)
-            t = ctx.params.get("t", math.ceil(len(group) / 3) - 1)
-            return PhaseKing(ctx.node_id, ctx.input, group, t)
-
-    elif name == "dolev_strong_ba":
-
-        def make(ctx: NodeCtx):
-            _require_mode(ctx, "auth", name)
-            group = _participants(ctx)
-            t = ctx.params.get("t", math.ceil(len(group) / 2) - 1)
-            return DolevStrongBA(ctx.node_id, ctx.input, group, t, ctx.signer)
-
-    elif name == "dolev_strong_broadcast":
-
-        def make(ctx: NodeCtx):
-            _require_mode(ctx, "auth", name)
-            group = _participants(ctx)
-            t = ctx.params.get("t", math.ceil(len(group) / 2) - 1)
-            sender = ctx.params.get("sender", group[0])
-            return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
-
-    else:
+    if name not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {name!r}")
+    mode, build = _PROTOCOLS[name]
+
+    def make(ctx: NodeCtx):
+        if ctx.mode != mode:
+            raise ValueError(f"protocol {name!r} runs in {mode} mode, not {ctx.mode}")
+        return build(ctx)
 
     return make

@@ -35,12 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import Configuration, as_alpha, check_alpha, check_mode
+from .core import Configuration, check_alpha, check_mode
 
 SCHEMA_VERSION = 1
 
@@ -88,6 +87,12 @@ def payload_to_bytes(payload) -> bytes:
 
 def payload_digest(payload) -> str:
     return hashlib.sha256(payload_to_json(payload).encode("utf-8")).hexdigest()
+
+
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed from a tuple of coordinates."""
+    blob = "|".join(map(str, parts))
+    return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +346,6 @@ class AdversaryCtx:
         self.honest = sc.config.honest
         self.honest_inputs = dict(sc.config.inputs)
         self.derive = engine.derived_seed
-        self.rng = random.Random(engine.derived_seed("adversary"))
 
     def signer_for(self, node_id: int) -> Signer:
         if node_id not in self.faulty:
@@ -398,8 +402,7 @@ class _Engine:
         self.ledger = SignatureLedger()
 
     def derived_seed(self, *parts) -> int:
-        blob = "|".join([str(self.scenario.seed), *map(str, parts)])
-        return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
+        return derive_seed(self.scenario.seed, *parts)
 
     def build_instance(self, node_id: int, input_bit: int, prediction, signer):
         sc = self.scenario

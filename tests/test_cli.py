@@ -61,10 +61,25 @@ def test_simulate_missing_file_is_usage_error(tmp_path, capsys):
     assert "byzsim: error:" in capsys.readouterr().err
 
 
-def test_simulate_malformed_scenario_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"schema_version\": 99}")
-    assert cli.main(["simulate", "--scenario", str(bad)]) == 2
+# Each entry patches a valid scenario file. Only the first fault shows in
+# Scenario.from_json; the others show when the engine builds the run.
+_MALFORMED = {
+    "schema_version": {"schema_version": 99},
+    "adversary": {"adversary": {"name": "bogus", "params": {}}},
+    "auth_phase_king": {"mode": "auth", "protocol": "phase_king", "prediction": None},
+    "negative_t": {"protocol": "phase_king", "prediction": None, "params": {"t": -1}},
+    "prediction_id": {"prediction": {"global": [1, 2, 99]}},
+    "split_brain_side": {"adversary": {"name": "split_brain", "params": {
+        "a": [1, 6], "b": [2, 3], "value_a": 0, "value_b": 1, "pred": None}}},
+}
+
+
+@pytest.mark.parametrize("patch", _MALFORMED.values(), ids=list(_MALFORMED))
+def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc.update(patch)
+    scenario_file.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
     assert "byzsim: error:" in capsys.readouterr().err
 
 

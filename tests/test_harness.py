@@ -1,14 +1,18 @@
 """Harness plumbing: trial construction, check logic, batteries, CSV output."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import byzsim.harness as harness
 from byzsim.adversary import silent
 from byzsim.core import Configuration, compute_error, theoretical_smoothness
 from byzsim.harness import (
     CURVE_FIELDS,
+    GRID_ALPHAS,
     IMPOSSIBILITY_POINTS,
     LIBRARY,
     SWEEP_FIELDS,
@@ -34,7 +38,7 @@ from byzsim.harness import (
     verify_robustness,
     verify_smoothness,
 )
-from byzsim.simnet import Outcome, Scenario
+from byzsim.simnet import Outcome, Scenario, run_simulation
 
 
 def _config(n=10, f=3):
@@ -239,6 +243,26 @@ def test_empirical_resilience_meets_theory():
         assert emp >= theory
 
 
+def test_sweep_runs_only_the_chosen_adversaries(monkeypatch):
+    seen = []
+
+    def spy(scenario, **kwargs):
+        seen.append(scenario.adversary.name)
+        return run_simulation(scenario, **kwargs)
+
+    monkeypatch.setattr(harness, "run_simulation", spy)
+    rows = sweep("auth", Fraction(4, 5), 30, etas=range(2), adversaries=("silent",))
+    assert seen and set(seen) == {"silent"}
+    assert {r["adversary_set_hash"] for r in rows} == {adversary_set_hash(["silent"])}
+
+
+def test_empirical_resilience_skips_fault_counts_no_adversary_can_test():
+    # At f = n - 1 one honest node is left, which split_brain cannot target.
+    assert theoretical_smoothness("auth", Fraction(4, 5), 4, 0) == 3
+    assert empirical_resilience("auth", Fraction(4, 5), 4, 0, trials=2,
+                                adversaries=("split_brain",)) == 2
+
+
 def test_impossibility_suite_families():
     for theorem, alpha, n in IMPOSSIBILITY_POINTS:
         rep = run_impossibility_suite(theorem, alpha, n)
@@ -285,3 +309,87 @@ def test_curve_table_and_csv():
     assert lines[0] == ",".join(CURVE_FIELDS)
     assert len(lines) == 32
     assert lines[1] == "auth,4/5,30,0,24,25,0"
+
+
+# ---------------------------------------------------------------------------
+# Determinism contract
+# ---------------------------------------------------------------------------
+
+
+class _HungCache(RunCache):
+    """Every run ends undecided, so every trial lands in the violations."""
+
+    def run(self, scenario):
+        self.misses += 1
+        return Outcome(decisions={}, decided_round=None, agreement=False,
+                       validity=False, termination=False)
+
+
+_SMALL_GRID = [(mode, alpha, n) for mode in ("nonauth", "auth")
+               for alpha in GRID_ALPHAS[mode] for n in (10, 20)]
+_TWO_CELLS = [("nonauth", Fraction(3, 5), 10), ("auth", Fraction(4, 5), 10)]
+_N10_FLAGSHIPS = (("nonauth", Fraction(4, 5), 10), ("auth", Fraction(4, 5), 10))
+
+# sha256 of each slice's canonical JSON (reports without elapsed_s) or CSV.
+# Any change to trial seeds, rng order, scenario construction, violation
+# records or report fields shows up here.
+_DIGESTS = {
+    "consistency":
+        "f45cca98dc409c6e1f22b28bef06102df8db50d06c92c44df5b08bdf382ef206",
+    "robustness":
+        "5bad09872e813e6506ff7c69fd621531e565620bbd06c0e9532dfbe283deacc3",
+    "smoothness":
+        "07bc8557ad4b8180670f13a00243eac79e6c766e7757524aaffefc7133731d4e",
+    "local":
+        "07d638cbadff6c0eb36cb8002690aa0043567a6c2f858f268df097ba8b455fe0",
+    "protocols":
+        "82c1e5b06269cccb04b8d556b45888fdeafd7387a5e0e25791bf714138834cdc",
+    "sweep_nonauth":
+        "93636b16f1b49e1becba34cfd34ff280271669c476f4094b56a763e273fdb931",
+    "sweep_auth":
+        "5454ec43535a87385d5851089c4ca2558a99e832a16ca3944bb2ac50020d2464",
+    "violations_consistency":
+        "98d6aab5f2dcd2dcd7d2d01bed15b322ccd39424e186db6763fbd7fba885b303",
+    "violations_robustness":
+        "f6ab1a453c15c97148a688a74dc66c7076fb7b85c74af2efee86f062f2d96023",
+    "violations_smoothness":
+        "9700a33ddd06875b80cbba289c708f706e08f19900ee3485b0f2c878a8427193",
+    "violations_local":
+        "1a365b66e133ef3fbf4621543cee4b97fc1d9183bd97a4097415c5e5ecaa26d4",
+    "violations_protocols":
+        "3476b11a1604f46c043e5cafdb008ad34af7d162548a0991eaaeb23475d4ff73",
+}
+
+_SLICES = {
+    "consistency": lambda: verify_consistency(seeds=3, grid=_SMALL_GRID),
+    "robustness": lambda: verify_robustness(seeds=4, grid=_SMALL_GRID),
+    "smoothness": lambda: verify_smoothness(flagships=_N10_FLAGSHIPS, seeds=2,
+                                            sweep_trials=2, scan_margin=1),
+    "local": lambda: verify_local(seeds=16),
+    "protocols": lambda: verify_protocols(pk_seeds=2, ds_seeds=2),
+    "sweep_nonauth": lambda: sweep_to_csv(sweep("nonauth", Fraction(3, 5), 10,
+                                                trials=3)),
+    "sweep_auth": lambda: sweep_to_csv(sweep("auth", Fraction(4, 5), 10, trials=3)),
+    "violations_consistency": lambda: verify_consistency(
+        seeds=1, grid=_TWO_CELLS, cache=_HungCache()),
+    "violations_robustness": lambda: verify_robustness(
+        seeds=1, grid=_TWO_CELLS, cache=_HungCache()),
+    "violations_smoothness": lambda: verify_smoothness(
+        flagships=_N10_FLAGSHIPS[1:], seeds=1, sweep_trials=1, scan_margin=1,
+        cache=_HungCache()),
+    "violations_local": lambda: verify_local(seeds=1, cache=_HungCache()),
+    "violations_protocols": lambda: verify_protocols(pk_seeds=1, ds_seeds=1,
+                                                     cache=_HungCache()),
+}
+
+
+def _digest(result) -> str:
+    if isinstance(result, dict):
+        result = json.dumps({k: v for k, v in result.items() if k != "elapsed_s"},
+                            sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(result.encode()).hexdigest()
+
+
+def test_small_slices_are_byte_stable():
+    digests = {name: _digest(run()) for name, run in _SLICES.items()}
+    assert digests == _DIGESTS
