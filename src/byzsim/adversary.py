@@ -25,15 +25,12 @@ helper constructors below build the common ones.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Mapping, Optional
 
 from .core import Configuration, check_alpha
 from .simnet import AdversarySpec, AdversaryStrategy, ForgeryError, Scenario
-
-LIBRARY_STRATEGIES = (
-    "silent", "crash_after", "random_noise", "split_brain", "replay_honest",
-)
 
 THEOREM_IDS = ("T4.1", "T4.2p1", "T4.2p2", "T4.2p3", "TC.4p1", "TC.4p2", "T5.2")
 
@@ -153,6 +150,7 @@ class _Noise(AdversaryStrategy):
     def begin(self, ctx):
         super().begin(ctx)
         self.rng = random.Random(ctx.derive("noise", self.seed))
+        self._links = [(c, (r,)) for c in sorted(ctx.faulty) for r in sorted(ctx.honest)]
 
     def _payload(self):
         # One 32-bit draw covers every field; the slight modulo bias is
@@ -176,10 +174,9 @@ class _Noise(AdversaryStrategy):
 
     def emit(self, rnd, honest_messages):
         out = []
-        for c in sorted(self.ctx.faulty):
-            for r in sorted(self.ctx.honest):
-                if self.rng.random() < self.SEND_RATE:
-                    out.append((c, (r,), self._payload()))
+        for c, to in self._links:
+            if self.rng.random() < self.SEND_RATE:
+                out.append((c, to, self._payload()))
         return out
 
 
@@ -191,6 +188,8 @@ class _Personas(AdversaryStrategy):
         self.emission = list(emission)  # (group, senders-or-None, set(receivers))
         self.cutoff = cutoff
         self._out = {}
+        self._singles = {}  # (addressed, rule receivers) -> ((r,), ...) ascending
+        self._fanout = {}  # receivers tuple -> the persona targets among them
 
     def begin(self, ctx):
         super().begin(ctx)
@@ -213,12 +212,17 @@ class _Personas(AdversaryStrategy):
                     raise ValueError(f"group {g!r} has no instance of node {s}")
             self._emit_rules.append((g, pick, frozenset(receivers)))
         # The feed source for a (group, sender) pair never changes mid-run.
+        # Per group: the senders fed by an instance's outbox, in ascending
+        # order with that instance's key; real traffic feeds the others.
         self._targets = frozenset(i for _, i in self.instances)
-        self._feed = {
-            (g, s): self._feed_group(g, s)
-            for g in self.groups
-            for s in range(1, ctx.n + 1)
-        }
+        self._feed = {}
+        for g in self.groups:
+            fed = []
+            for s in range(1, ctx.n + 1):
+                src = self._feed_group(g, s)
+                if src is not None:
+                    fed.append((s, (src, s)))
+            self._feed[g] = (frozenset(s for s, _ in fed), fed)
 
     def _feed_group(self, g: str, s: int) -> Optional[str]:
         for g2, senders, from_g in self.feed_overrides:
@@ -236,34 +240,38 @@ class _Personas(AdversaryStrategy):
         }
         if self.cutoff is not None and rnd > self.cutoff:
             return []
-        result = []
+        result, singles = [], self._singles
         for g, pick, receivers in self._emit_rules:
             for s in pick:
                 for addressed, payload in self._out[(g, s)]:
-                    for r in sorted(addressed & receivers):
-                        result.append((s, (r,), payload))
+                    key = (addressed, receivers)
+                    targets = singles.get(key)
+                    if targets is None:
+                        targets = singles[key] = [(r,) for r in sorted(addressed & receivers)]
+                    for to in targets:
+                        result.append((s, to, payload))
         return result
 
     def observe(self, rnd, all_messages):
-        real = {i: {} for i in self._targets}
+        real = {i: [] for i in self._targets}
+        fanout = self._fanout
         for s, receivers, payload in all_messages:
-            for r in receivers:
-                if r in real:
-                    real[r].setdefault(s, []).append(payload)
-        feed, out, n = self._feed, self._out, self.ctx.n
+            targets = fanout.get(receivers)
+            if targets is None:
+                targets = fanout[receivers] = [r for r in receivers if r in real]
+            item = (s, payload)
+            for r in targets:
+                real[r].append(item)
+        feed, out = self._feed, self._out
         for (g, i), inst in self.instances.items():
-            inbox = []
-            mine = real[i]
-            for s in range(1, n + 1):
-                src = feed[(g, s)]
-                if src is not None:
-                    for addressed, payload in out[(src, s)]:
-                        if i in addressed:
-                            inbox.append((s, payload))
-                else:
-                    ps = mine.get(s)
-                    if ps:
-                        inbox.extend((s, p) for p in ps)
+            fed_ids, fed = feed[g]
+            inbox = [m for m in real[i] if m[0] not in fed_ids]
+            for s, src in fed:
+                for addressed, payload in out[src]:
+                    if i in addressed:
+                        inbox.append((s, payload))
+            # Stable: each sender's messages keep their order.
+            inbox.sort(key=operator.itemgetter(0))
             inst.deliver(rnd, inbox)
 
 
@@ -351,44 +359,9 @@ def _need(cond: bool, what: str, example: str):
         raise ValueError(f"infeasible parameters: need {what} (e.g. {example})")
 
 
-def _t41(alpha, n):
-    a = check_alpha("nonauth", alpha)
-    eta2 = (1 - a) * n
-    _need(eta2.denominator == 1 and eta2 % 2 == 0 and eta2 >= 2,
-          "(1-alpha)*n even and >= 2", "alpha=4/5, n=20")
-    eta = int(eta2) // 2
-    A, B, C = _block(1, eta), _block(eta + 1, 2 * eta), _block(2 * eta + 1, n)
-    _need(len(C) >= 1, "alpha*n >= 1", "alpha=4/5, n=20")
-    P = frozenset(A + B)
-    in01 = {i: 0 for i in A} | {i: 1 for i in B}
-    cfg1 = _scenario("nonauth", a, n, C, in01, P,
-                     split_brain((A, B), 0, 1, P), "pred_ba")
-    cfg2 = _scenario(
-        "nonauth", a, n, B, {i: 0 for i in A + C}, P,
-        persona_network({"w": {i: (1, P) for i in B + C}},
-                        emission=[("w", B, A + C)]),
-        "pred_ba")
-    cfg3 = _scenario(
-        "nonauth", a, n, A, {i: 1 for i in B + C}, P,
-        persona_network({"w": {i: (0, P) for i in A + C}},
-                        emission=[("w", A, B + C)]),
-        "pred_ba")
-    return [cfg1, cfg2, cfg3]
-
-
-def _t42p1(alpha, n):
-    a = check_alpha("nonauth", alpha)
-    odd = (1 - a) * n
-    _need(odd.denominator == 1 and odd % 2 == 1 and odd >= 3,
-          "(1-alpha)*n odd and >= 3", "alpha=4/5, n=25")
-    k = (int(odd) - 1) // 2
-    A, B = _block(1, k), _block(k + 1, 2 * k)
-    D = _block(2 * k + 1, 3 * k - 1)
-    x = 3 * k
-    C = _block(3 * k + 1, n)
-    _need(len(C) >= 1, "n > 3*((1-alpha)*n - 1)/2", "alpha=4/5, n=25")
-    P = frozenset(A + B + D + [x])
-    rest = C + D + [x]
+def _split_then_sides(a, n, A, B, rest, P):
+    """Split-brain over (A, B) with the rest faulty; then A, then B faulty,
+    each side's personas playing the opposite input to everyone else."""
     cfg1 = _scenario("nonauth", a, n, rest, {i: 0 for i in A} | {i: 1 for i in B},
                      P, split_brain((A, B), 0, 1, P), "pred_ba")
     cfg2 = _scenario(
@@ -404,6 +377,31 @@ def _t42p1(alpha, n):
     return [cfg1, cfg2, cfg3]
 
 
+def _t41(alpha, n):
+    a = check_alpha("nonauth", alpha)
+    eta2 = (1 - a) * n
+    _need(eta2.denominator == 1 and eta2 % 2 == 0 and eta2 >= 2,
+          "(1-alpha)*n even and >= 2", "alpha=4/5, n=20")
+    eta = int(eta2) // 2
+    A, B, C = _block(1, eta), _block(eta + 1, 2 * eta), _block(2 * eta + 1, n)
+    _need(len(C) >= 1, "alpha*n >= 1", "alpha=4/5, n=20")
+    return _split_then_sides(a, n, A, B, C, frozenset(A + B))
+
+
+def _t42p1(alpha, n):
+    a = check_alpha("nonauth", alpha)
+    odd = (1 - a) * n
+    _need(odd.denominator == 1 and odd % 2 == 1 and odd >= 3,
+          "(1-alpha)*n odd and >= 3", "alpha=4/5, n=25")
+    k = (int(odd) - 1) // 2
+    A, B = _block(1, k), _block(k + 1, 2 * k)
+    D = _block(2 * k + 1, 3 * k - 1)
+    x = 3 * k
+    C = _block(3 * k + 1, n)
+    _need(len(C) >= 1, "n > 3*((1-alpha)*n - 1)/2", "alpha=4/5, n=25")
+    return _split_then_sides(a, n, A, B, C + D + [x], frozenset(A + B + D + [x]))
+
+
 def _t42p2(alpha, n):
     a = check_alpha("nonauth", alpha)
     eta = n // 3
@@ -413,27 +411,20 @@ def _t42p2(alpha, n):
     P = frozenset(A + B + C)
     cfg1 = _scenario("nonauth", a, n, C + D, {i: 0 for i in A} | {i: 1 for i in B},
                      P, split_brain((A, B), 0, 1, P), "pred_ba")
-    groups_b = {
-        "one": {i: (1, P) for i in B + C + D},
-        "zero": {i: (0, P) for i in D},
-    }
-    cfg2 = _scenario(
-        "nonauth", a, n, B + D, {i: 0 for i in A + C}, P,
-        persona_network(groups_b,
-                        feed_overrides=[("zero", B, "one")],
-                        emission=[("one", B, A + C), ("zero", D, A + C)]),
-        "pred_ba")
-    groups_c = {
-        "zero": {i: (0, P) for i in A + C + D},
-        "one": {i: (1, P) for i in D},
-    }
-    cfg3 = _scenario(
-        "nonauth", a, n, A + D, {i: 1 for i in B + C}, P,
-        persona_network(groups_c,
-                        feed_overrides=[("one", A, "zero")],
-                        emission=[("zero", A, B + C), ("one", D, B + C)]),
-        "pred_ba")
-    return [cfg1, cfg2, cfg3]
+
+    def side(X, Y, v):
+        # X and D faulty. Group `mine` runs X, C and D on input v; group
+        # `other` runs D on 1 - v and feeds X's instances to it.
+        mine, other = ("zero", "one")[v], ("zero", "one")[1 - v]
+        groups = {mine: {i: (v, P) for i in X + C + D}, other: {i: (1 - v, P) for i in D}}
+        return _scenario(
+            "nonauth", a, n, X + D, {i: 1 - v for i in Y + C}, P,
+            persona_network(groups,
+                            feed_overrides=[(other, X, mine)],
+                            emission=[(mine, X, Y + C), (other, D, Y + C)]),
+            "pred_ba")
+
+    return [cfg1, side(B, A, 1), side(A, B, 0)]
 
 
 def _t42p3(alpha, n):
@@ -445,20 +436,7 @@ def _t42p3(alpha, n):
     B = _block(q + 2, 2 * q + 2)
     C = _block(2 * q + 3, 3 * q)  # q-2 ids
     D = _block(3 * q + 1, n)
-    P = frozenset(A + B + C)
-    cfg1 = _scenario("nonauth", a, n, C + D, {i: 0 for i in A} | {i: 1 for i in B},
-                     P, split_brain((A, B), 0, 1, P), "pred_ba")
-    cfg2 = _scenario(
-        "nonauth", a, n, B, {i: 0 for i in A + C + D}, P,
-        persona_network({"w": {i: (1, P) for i in B + C + D}},
-                        emission=[("w", B, A + C + D)]),
-        "pred_ba")
-    cfg3 = _scenario(
-        "nonauth", a, n, A, {i: 1 for i in B + C + D}, P,
-        persona_network({"w": {i: (0, P) for i in A + C + D}},
-                        emission=[("w", A, B + C + D)]),
-        "pred_ba")
-    return [cfg1, cfg2, cfg3]
+    return _split_then_sides(a, n, A, B, C + D, frozenset(A + B + C))
 
 
 def _tc4p1(alpha, n):

@@ -20,6 +20,7 @@ mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +46,15 @@ def build_active_set(prediction, alpha, n: int, mode: str) -> ActiveSet:
     Padding probes ids in ascending order, advancing the probe every
     iteration whether or not it was added.
     """
-    a = check_alpha(mode, alpha)
     pred = frozenset(prediction) if prediction is not None else frozenset()
+    return _active_set(pred, alpha, n, mode)
+
+
+# Every node of a run derives the same (immutable) active set from the same
+# prediction, so a small memo saves all but the first derivation.
+@functools.lru_cache(maxsize=16)
+def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
+    a = check_alpha(mode, alpha)
     if not pred <= frozenset(range(1, n + 1)):
         raise ValueError("prediction contains ids outside 1..n")
     if mode == "nonauth":

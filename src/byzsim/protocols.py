@@ -293,21 +293,27 @@ class DolevStrongBA:
         if rnd == self.rounds:
             return [(self.participants, ("dsdec", self._verdict))]
         out = []
-        for s in self.participants:
-            out.extend((self.participants, p) for p in self.instances[s].take_outbox(rnd))
+        for inst in self.instances.values():  # in participant order
+            if rnd in inst._queue:
+                out.extend((self.participants, p) for p in inst.take_outbox(rnd))
         return out
 
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
             return
         if rnd < self.rounds:
+            # A relay whose value its instance already extracted changes
+            # nothing, so it is dropped here rather than handed on.
             by_instance = {}
-            for sender, payload in inbox:
+            instances = self.instances
+            for msg in inbox:
+                payload = msg[1]
                 if isinstance(payload, tuple) and len(payload) == 5 and payload[0] == "ds":
-                    by_instance.setdefault(payload[1], []).append((sender, payload))
-            for s, msgs in by_instance.items():
-                if s in self.instances:
-                    self.instances[s].deliver(rnd, msgs)
+                    inst = instances.get(payload[1])
+                    if inst is not None and payload[3] not in inst.extracted:
+                        by_instance.setdefault(inst, []).append(msg)
+            for inst, msgs in by_instance.items():
+                inst.deliver(rnd, msgs)
             if rnd == self.rounds - 1:
                 outs = [self.instances[s].output() for s in self.participants]
                 ones = sum(outs)

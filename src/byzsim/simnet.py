@@ -344,7 +344,6 @@ class AdversaryCtx:
         self.mode = sc.mode
         self.faulty = sc.config.faulty
         self.honest = sc.config.honest
-        self.honest_inputs = dict(sc.config.inputs)
         self.derive = engine.derived_seed
 
     def signer_for(self, node_id: int) -> Signer:
@@ -431,6 +430,8 @@ class _Engine:
         logs = {i: [] for i in honest} if record_transcripts else None
         decided_round = {}
         budget = round_budget(sc.n)
+        slot = {i: k for k, i in enumerate(honest)}
+        fanout = {}  # receivers -> inbox slots of the honest ones among them
         rnd = 0
         while rnd < budget and len(decided_round) < len(honest):
             rnd += 1
@@ -447,13 +448,19 @@ class _Engine:
                 faulty_msgs.append((sender, tuple(receivers), payload))
             all_msgs = honest_msgs + faulty_msgs
 
-            inboxes = {i: [] for i in honest}
-            for sender, receivers, payload in all_msgs:
-                for r in receivers:
-                    if r in inboxes:
-                        inboxes[r].append((sender, payload))
+            # Handing out the messages in stable sender order fills every
+            # inbox already sorted by sender, ties in emission order.
+            boxes = [[] for _ in honest]
+            for sender, receivers, payload in (
+                    sorted(all_msgs, key=_BY_SENDER) if faulty_msgs else all_msgs):
+                targets = fanout.get(receivers)
+                if targets is None:
+                    targets = fanout[receivers] = [slot[r] for r in receivers if r in slot]
+                item = (sender, payload)
+                for k in targets:
+                    boxes[k].append(item)
+            inboxes = dict(zip(honest, boxes))
             for i in honest:
-                inboxes[i].sort(key=_BY_SENDER)
                 nodes[i].deliver(rnd, inboxes[i])
                 if i not in decided_round and nodes[i].decision is not None:
                     decided_round[i] = rnd
