@@ -12,7 +12,7 @@ Feeding rule for instance (g, i), per sender s, evaluated in this order:
 1. an explicit feed override (group g, sender s) -> group h routes s's
    traffic from h's instance of s,
 2. if group g itself contains an instance of s, that instance's traffic,
-3. otherwise the real traffic addressed to i.
+3. otherwise s's messages in i's inbox as the engine built it.
 
 An instance "receives" another instance's traffic by taking the messages it
 addressed to i. Emission rules pick which group's persona a given honest
@@ -188,8 +188,6 @@ class _Personas(AdversaryStrategy):
         self.emission = list(emission)  # (group, senders-or-None, set(receivers))
         self.cutoff = cutoff
         self._out = {}
-        self._singles = {}  # (addressed, rule receivers) -> ((r,), ...) ascending
-        self._fanout = {}  # receivers tuple -> the persona targets among them
 
     def begin(self, ctx):
         super().begin(ctx)
@@ -213,8 +211,8 @@ class _Personas(AdversaryStrategy):
             self._emit_rules.append((g, pick, frozenset(receivers)))
         # The feed source for a (group, sender) pair never changes mid-run.
         # Per group: the senders fed by an instance's outbox, in ascending
-        # order with that instance's key; real traffic feeds the others.
-        self._targets = frozenset(i for _, i in self.instances)
+        # order with that instance's key; the instance's inbox feeds the others.
+        self.listens = frozenset(i for _, i in self.instances)
         self._feed = {}
         for g in self.groups:
             fed = []
@@ -240,32 +238,20 @@ class _Personas(AdversaryStrategy):
         }
         if self.cutoff is not None and rnd > self.cutoff:
             return []
-        result, singles = [], self._singles
+        result = []
         for g, pick, receivers in self._emit_rules:
             for s in pick:
                 for addressed, payload in self._out[(g, s)]:
-                    key = (addressed, receivers)
-                    targets = singles.get(key)
-                    if targets is None:
-                        targets = singles[key] = [(r,) for r in sorted(addressed & receivers)]
-                    for to in targets:
+                    to = tuple(sorted(addressed & receivers))
+                    if to:
                         result.append((s, to, payload))
         return result
 
-    def observe(self, rnd, all_messages):
-        real = {i: [] for i in self._targets}
-        fanout = self._fanout
-        for s, receivers, payload in all_messages:
-            targets = fanout.get(receivers)
-            if targets is None:
-                targets = fanout[receivers] = [r for r in receivers if r in real]
-            item = (s, payload)
-            for r in targets:
-                real[r].append(item)
+    def observe(self, rnd, inboxes):
         feed, out = self._feed, self._out
         for (g, i), inst in self.instances.items():
             fed_ids, fed = feed[g]
-            inbox = [m for m in real[i] if m[0] not in fed_ids]
+            inbox = [m for m in inboxes[i] if m[0] not in fed_ids]
             for s, src in fed:
                 for addressed, payload in out[src]:
                     if i in addressed:

@@ -95,6 +95,12 @@ def _parse_eta_range(text: str, n: int) -> range:
     return range(lo_i, hi_i + 1)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_adversaries(text: Optional[str]):
     if not text:
         return None
@@ -131,9 +137,9 @@ def cmd_simulate(args) -> int:
         outcome, transcripts = run_simulation(
             scenario, record_transcripts=args.transcripts is not None
         )
-    except ValueError as exc:
-        # Faults such as an unknown adversary show only when the run is built.
-        raise UsageError(f"invalid scenario: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        # Bad adversary or protocol parameters show only when the run is built.
+        raise UsageError(f"invalid scenario: {type(exc).__name__}: {exc}") from None
     out_doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.to_json(),
@@ -228,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="empirical resilience over an error range")
     sw.add_argument("--mode", required=True, choices=("nonauth", "auth"))
     sw.add_argument("--alpha", required=True, help="trust parameter, e.g. 0.8 or 4/5")
-    sw.add_argument("--n", required=True, type=int, help="node count")
+    sw.add_argument("--n", required=True, type=_positive_int, help="node count")
     sw.add_argument("--eta-range", help="'lo:hi' inclusive (default: 0:n)")
     sw.add_argument("--split", default="worst_case",
                     choices=("worst_case", "inverse", "balanced"),
                     help="how the error divides over wrong-in/missing-from P")
-    sw.add_argument("--trials", type=int, default=12, help="trials per cell")
+    sw.add_argument("--trials", type=_positive_int, default=12, help="trials per cell")
     sw.add_argument("--adversaries", help="comma-separated subset of the library")
     sw.add_argument("--seed", required=True, type=int)
     sw.add_argument("--out", help="CSV file (default: stdout)")
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("curves", help="export theoretical bound curves (no runs)")
     cv.add_argument("--mode", required=True, choices=("nonauth", "auth"))
     cv.add_argument("--alpha", required=True)
-    cv.add_argument("--n", required=True, type=int)
+    cv.add_argument("--n", required=True, type=_positive_int)
     cv.add_argument("--out", help="CSV file (default: stdout)")
     cv.set_defaults(func=cmd_curves)
 
@@ -252,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--mode", choices=("nonauth", "auth"),
                     help="restrict to one grid cell (with --alpha and --n)")
     vf.add_argument("--alpha")
-    vf.add_argument("--n", type=int)
-    vf.add_argument("--trials", type=int,
+    vf.add_argument("--n", type=_positive_int)
+    vf.add_argument("--trials", type=_positive_int,
                     help="seeded trials per cell (suite default otherwise)")
     vf.add_argument("--out", help="also save the JSON report here")
     vf.set_defaults(func=cmd_verify)

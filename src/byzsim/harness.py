@@ -375,8 +375,11 @@ def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None)
 
 
 def smoothness_cell(mode, alpha, n, eta, split, *, seeds: int = 50, seed: int = 0,
-                    cache=None, adversaries=None) -> list:
-    """Run one (eta, split) cell at f = theoretical_smoothness(eta)."""
+                    cache=None, adversaries=None) -> tuple:
+    """Run one (eta, split) cell at f = theoretical_smoothness(eta).
+
+    Returns the number of trials run and the violations among them.
+    """
     tally = _Battery("smoothness", cache)
     alpha = check_alpha(mode, alpha)
     f = theoretical_smoothness(mode, alpha, n, eta)
@@ -389,7 +392,7 @@ def smoothness_cell(mode, alpha, n, eta, split, *, seeds: int = 50, seed: int = 
             assert compute_error(sc.config, sc.prediction).total == eta
             tally.check(sc, adv_name, {"f": f, "eta": eta, "split": split,
                                        "pattern": pattern, "trial": k})
-    return tally.violations
+    return tally.runs, tally.violations
 
 
 def empirical_resilience(mode, alpha, n, eta, *, split: str = "worst_case",
@@ -510,12 +513,11 @@ def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
         alpha = check_alpha(mode, alpha)
         for eta in range(n + 1):
             for split in ETA_SPLITS:
-                names = library_names(
-                    n - theoretical_smoothness(mode, alpha, n, eta))
-                tally.runs += len(names) * seeds
-                tally.violations.extend(smoothness_cell(
+                runs, violations = smoothness_cell(
                     mode, alpha, n, eta, split, seeds=seeds, seed=seed,
-                    cache=tally.cache))
+                    cache=tally.cache)
+                tally.runs += runs
+                tally.violations.extend(violations)
         rows = sweep(mode, alpha, n, trials=sweep_trials, seed=seed,
                      scan_margin=scan_margin, cache=tally.cache)
         sweeps[f"{mode}:{alpha}:{n}"] = rows

@@ -8,9 +8,10 @@ Rounds are numbered from 1. In every round the engine
 2. hands the complete set of honest round-r messages to the adversary, which
    then emits messages on behalf of faulty ids (rushing: it reacts to honest
    traffic of the same round),
-3. delivers to every honest node the messages addressed to it, ordered by
-   sender id,
-4. lets the adversary observe the full round (it is omniscient).
+3. builds one inbox per honest id and per id the adversary listens on (the
+   ids of the instances it runs): the messages addressed to that id,
+   ordered by sender id, and delivers the honest ones,
+4. hands the adversary every inbox of the round to observe.
 
 A run terminates when every honest node has decided, or fails to terminate
 once the round budget 4*(n+2) is exhausted.
@@ -333,23 +334,33 @@ class NodeCtx:
     params: Mapping
 
 
+def _build_instance(factory: Callable, sc: Scenario, node_id: int, input_bit: int,
+                    prediction, signer):
+    return factory(NodeCtx(node_id=node_id, n=sc.n, mode=sc.mode, alpha=sc.alpha,
+                           input=input_bit, prediction=prediction, signer=signer,
+                           params=sc.params))
+
+
 class AdversaryCtx:
     """The adversary's (omniscient) view plus its minting capabilities."""
 
-    def __init__(self, engine: "_Engine"):
-        self._engine = engine
-        sc = engine.scenario
-        self.scenario = sc
-        self.n = sc.n
-        self.mode = sc.mode
-        self.faulty = sc.config.faulty
-        self.honest = sc.config.honest
-        self.derive = engine.derived_seed
+    def __init__(self, scenario: Scenario, ledger: SignatureLedger, factory: Callable):
+        self.scenario = scenario
+        self.n = scenario.n
+        self.mode = scenario.mode
+        self.faulty = scenario.config.faulty
+        self.honest = scenario.config.honest
+        self._ledger = ledger
+        self._factory = factory
+
+    def derive(self, *parts) -> int:
+        """A seed drawn from the scenario's seed and the given parts."""
+        return derive_seed(self.scenario.seed, *parts)
 
     def signer_for(self, node_id: int) -> Signer:
         if node_id not in self.faulty:
             raise ForgeryError(f"adversary asked for honest node {node_id}'s key")
-        return Signer(self._engine.ledger, node_id, adversarial=True)
+        return Signer(self._ledger, node_id, adversarial=True)
 
     def make_instance(self, node_id: int, input_bit: int, prediction):
         """Build a protocol instance the adversary runs internally.
@@ -367,11 +378,16 @@ class AdversaryCtx:
             )
         else:
             signer = _RefusingSigner(node_id)
-        return self._engine.build_instance(node_id, input_bit, prediction, signer)
+        return _build_instance(self._factory, self.scenario, node_id, input_bit,
+                               prediction, signer)
 
 
 class AdversaryStrategy:
     """Base adversary: silent. Subclasses override emit/observe."""
+
+    #: Ids beyond the honest ones whose inboxes the engine also builds for
+    #: observe each round: the ids of the instances the strategy runs (begin sets it).
+    listens = frozenset()
 
     def begin(self, ctx: AdversaryCtx) -> None:
         self.ctx = ctx
@@ -384,125 +400,18 @@ class AdversaryStrategy:
         """
         return []
 
-    def observe(self, rnd: int, all_messages: Sequence) -> None:
-        """Called after delivery with every message of the round."""
+    def observe(self, rnd: int, inboxes: Mapping) -> None:
+        """Called after delivery with the round's inboxes.
+
+        inboxes maps every honest id and every id in listens to the list of
+        (sender, payload) addressed to it this round, honest and faulty
+        traffic alike, ordered by sender and, per sender, by emission.
+        """
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-
-
-class _Engine:
-    def __init__(self, scenario: Scenario, factory: Callable, adversary: AdversaryStrategy):
-        self.scenario = scenario
-        self.factory = factory
-        self.adversary = adversary
-        self.ledger = SignatureLedger()
-
-    def derived_seed(self, *parts) -> int:
-        return derive_seed(self.scenario.seed, *parts)
-
-    def build_instance(self, node_id: int, input_bit: int, prediction, signer):
-        sc = self.scenario
-        ctx = NodeCtx(
-            node_id=node_id,
-            n=sc.n,
-            mode=sc.mode,
-            alpha=sc.alpha,
-            input=input_bit,
-            prediction=prediction,
-            signer=signer,
-            params=sc.params,
-        )
-        return self.factory(ctx)
-
-    def run(self, record_transcripts: bool):
-        sc = self.scenario
-        honest = sorted(sc.config.honest)
-        nodes = {}
-        for i in honest:
-            signer = Signer(self.ledger, i)
-            nodes[i] = self.build_instance(i, sc.config.inputs[i], sc.prediction_for(i), signer)
-
-        self.adversary.begin(AdversaryCtx(self))
-
-        logs = {i: [] for i in honest} if record_transcripts else None
-        decided_round = {}
-        budget = round_budget(sc.n)
-        slot = {i: k for k, i in enumerate(honest)}
-        fanout = {}  # receivers -> inbox slots of the honest ones among them
-        rnd = 0
-        while rnd < budget and len(decided_round) < len(honest):
-            rnd += 1
-            honest_msgs = []
-            for i in honest:
-                for receivers, payload in nodes[i].outbox(rnd):
-                    honest_msgs.append((i, tuple(receivers), payload))
-            faulty_msgs = []
-            for sender, receivers, payload in self.adversary.emit(rnd, tuple(honest_msgs)):
-                if sender not in sc.config.faulty:
-                    raise ForgeryError(
-                        f"adversary tried to send as honest node {sender}"
-                    )
-                faulty_msgs.append((sender, tuple(receivers), payload))
-            all_msgs = honest_msgs + faulty_msgs
-
-            # Handing out the messages in stable sender order fills every
-            # inbox already sorted by sender, ties in emission order.
-            boxes = [[] for _ in honest]
-            for sender, receivers, payload in (
-                    sorted(all_msgs, key=_BY_SENDER) if faulty_msgs else all_msgs):
-                targets = fanout.get(receivers)
-                if targets is None:
-                    targets = fanout[receivers] = [slot[r] for r in receivers if r in slot]
-                item = (sender, payload)
-                for k in targets:
-                    boxes[k].append(item)
-            inboxes = dict(zip(honest, boxes))
-            for i in honest:
-                nodes[i].deliver(rnd, inboxes[i])
-                if i not in decided_round and nodes[i].decision is not None:
-                    decided_round[i] = rnd
-
-            self.adversary.observe(rnd, tuple(all_msgs))
-
-            if record_transcripts:
-                for i in honest:
-                    sent = []
-                    for sender, receivers, payload in honest_msgs:
-                        if sender == i:
-                            pj = payload_to_json(payload)
-                            sent.extend((r, pj) for r in sorted(receivers))
-                    received = [(s, payload_to_json(p)) for s, p in inboxes[i]]
-                    logs[i].append(RoundLog(round=rnd, sent=sent, received=received))
-
-        if not self.ledger.honest_integrity(sc.config.honest):
-            raise ForgeryError("ledger audit: honest signature minted by the adversary")
-
-        decisions = {i: nodes[i].decision for i in honest if nodes[i].decision is not None}
-        terminated = len(decisions) == len(honest)
-        last = max(decided_round.values()) if decided_round else 0
-        agreement = terminated and len(set(decisions.values())) <= 1
-        inputs = set(sc.config.inputs.values())
-        if not terminated:
-            validity = False
-        elif len(inputs) == 1:
-            (b,) = inputs
-            validity = all(v == b for v in decisions.values())
-        else:
-            validity = True
-        outcome = Outcome(
-            decisions=decisions,
-            decided_round=last if terminated else None,
-            agreement=agreement,
-            validity=validity,
-            termination=terminated,
-        )
-        transcripts = (
-            [Transcript(node=i, rounds=logs[i]) for i in honest] if record_transcripts else []
-        )
-        return outcome, transcripts
 
 
 def run_simulation(
@@ -525,4 +434,86 @@ def run_simulation(
         from .adversary import build_strategy
 
         adversary = build_strategy(scenario.adversary, scenario)
-    return _Engine(scenario, protocol, adversary).run(record_transcripts)
+    sc = scenario
+    ledger = SignatureLedger()
+    honest = sorted(sc.config.honest)
+    nodes = {i: _build_instance(protocol, sc, i, sc.config.inputs[i],
+                                sc.prediction_for(i), Signer(ledger, i))
+             for i in honest}
+    adversary.begin(AdversaryCtx(sc, ledger, protocol))
+
+    logs = {i: [] for i in honest} if record_transcripts else None
+    decided_round = {}
+    budget = round_budget(sc.n)
+    listeners = sorted(sc.config.honest | adversary.listens)
+    slot = {i: k for k, i in enumerate(listeners)}
+    fanout = {}  # receivers -> inbox slots of the listeners among them
+    rnd = 0
+    while rnd < budget and len(decided_round) < len(honest):
+        rnd += 1
+        honest_msgs = []
+        for i in honest:
+            for receivers, payload in nodes[i].outbox(rnd):
+                honest_msgs.append((i, tuple(receivers), payload))
+        faulty_msgs = []
+        for sender, receivers, payload in adversary.emit(rnd, tuple(honest_msgs)):
+            if sender not in sc.config.faulty:
+                raise ForgeryError(f"adversary tried to send as honest node {sender}")
+            faulty_msgs.append((sender, tuple(receivers), payload))
+
+        # Handing out the messages in stable sender order fills every
+        # inbox already sorted by sender, ties in emission order.
+        boxes = [[] for _ in listeners]
+        for sender, receivers, payload in (
+                sorted(honest_msgs + faulty_msgs, key=_BY_SENDER) if faulty_msgs
+                else honest_msgs):
+            targets = fanout.get(receivers)
+            if targets is None:
+                targets = fanout[receivers] = [slot[r] for r in receivers if r in slot]
+            item = (sender, payload)
+            for k in targets:
+                boxes[k].append(item)
+        inboxes = dict(zip(listeners, boxes))
+        for i in honest:
+            nodes[i].deliver(rnd, inboxes[i])
+            if i not in decided_round and nodes[i].decision is not None:
+                decided_round[i] = rnd
+
+        adversary.observe(rnd, inboxes)
+
+        if record_transcripts:
+            for i in honest:
+                sent = []
+                for sender, receivers, payload in honest_msgs:
+                    if sender == i:
+                        pj = payload_to_json(payload)
+                        sent.extend((r, pj) for r in sorted(receivers))
+                received = [(s, payload_to_json(p)) for s, p in inboxes[i]]
+                logs[i].append(RoundLog(round=rnd, sent=sent, received=received))
+
+    if not ledger.honest_integrity(sc.config.honest):
+        raise ForgeryError("ledger audit: honest signature minted by the adversary")
+
+    decisions = {i: nodes[i].decision for i in honest if nodes[i].decision is not None}
+    terminated = len(decisions) == len(honest)
+    last = max(decided_round.values()) if decided_round else 0
+    agreement = terminated and len(set(decisions.values())) <= 1
+    inputs = set(sc.config.inputs.values())
+    if not terminated:
+        validity = False
+    elif len(inputs) == 1:
+        (b,) = inputs
+        validity = all(v == b for v in decisions.values())
+    else:
+        validity = True
+    outcome = Outcome(
+        decisions=decisions,
+        decided_round=last if terminated else None,
+        agreement=agreement,
+        validity=validity,
+        termination=terminated,
+    )
+    transcripts = (
+        [Transcript(node=i, rounds=logs[i]) for i in honest] if record_transcripts else []
+    )
+    return outcome, transcripts

@@ -71,6 +71,15 @@ _MALFORMED = {
     "prediction_id": {"prediction": {"global": [1, 2, 99]}},
     "split_brain_side": {"adversary": {"name": "split_brain", "params": {
         "a": [1, 6], "b": [2, 3], "value_a": 0, "value_b": 1, "pred": None}}},
+    "crash_without_round": {"adversary": {"name": "crash_after", "params": {}}},
+    "replay_without_input": {"adversary": {"name": "replay_honest", "params": {}}},
+    "split_brain_without_a": {"adversary": {"name": "split_brain", "params": {
+        "b": [2, 3], "value_a": 0, "value_b": 1}}},
+    "persona_member": {"adversary": {"name": "persona_network", "params": {
+        "groups": {"w": {"6": {}}}}}},
+    "string_t": {"protocol": "phase_king", "prediction": None, "params": {"t": "1"}},
+    "int_participants": {"protocol": "phase_king", "prediction": None,
+                         "params": {"participants": 5}},
 }
 
 
@@ -99,6 +108,22 @@ def test_sweep_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--mode", "nonauth", "--alpha", "3/5", "--n", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--mode", "auth", "--alpha", "4/5", "--n", "0"],
+    ["sweep", "--mode", "auth", "--alpha", "4/5", "--n", "0", "--seed", "0"],
+    ["verify", "--suite", "consistency", "--seed", "0", "--mode", "auth",
+     "--alpha", "4/5", "--n", "0"],
+    ["sweep", "--mode", "nonauth", "--alpha", "4/5", "--n", "10", "--seed", "0",
+     "--trials", "-3", "--eta-range", "0:1"],
+    ["verify", "--suite", "local", "--seed", "0", "--trials", "-1"],
+], ids=["curves_n", "sweep_n", "verify_n", "sweep_trials", "verify_trials"])
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "want an integer >= 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_eta_range(capsys):

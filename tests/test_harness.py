@@ -8,8 +8,13 @@ from fractions import Fraction
 import pytest
 
 import byzsim.harness as harness
-from byzsim.adversary import silent
-from byzsim.core import Configuration, compute_error, theoretical_smoothness
+from byzsim.adversary import build_impossibility_scenarios, silent
+from byzsim.core import (
+    Configuration,
+    compute_error,
+    consistency_bound,
+    theoretical_smoothness,
+)
 from byzsim.harness import (
     CURVE_FIELDS,
     GRID_ALPHAS,
@@ -334,6 +339,8 @@ _N10_FLAGSHIPS = (("nonauth", Fraction(4, 5), 10), ("auth", Fraction(4, 5), 10))
 # Any change to trial seeds, rng order, scenario construction, violation
 # records or report fields shows up here.
 _DIGESTS = {
+    "transcripts":
+        "640179f5fe9664e8df0b019613c1158f26a54f257c0618fa6d3c478dd3dac0de",
     "consistency":
         "f45cca98dc409c6e1f22b28bef06102df8db50d06c92c44df5b08bdf382ef206",
     "robustness":
@@ -360,7 +367,29 @@ _DIGESTS = {
         "3476b11a1604f46c043e5cafdb008ad34af7d162548a0991eaaeb23475d4ff73",
 }
 
+
+def _transcript_runs() -> str:
+    """Decisions and honest transcripts of every impossibility configuration
+    and of one persona-heavy trial per library adversary on two cells."""
+    scenarios = [sc for point in IMPOSSIBILITY_POINTS
+                 for sc in build_impossibility_scenarios(*point)]
+    for mode, alpha, n in _TWO_CELLS:
+        f = consistency_bound(mode, alpha, n)
+        for adv_name in library_names(n - f):
+            scenarios.append(harness._trial(
+                ("transcripts", 0, mode, alpha, n, adv_name), f, adv_name,
+                "half_split", lambda config, rng: frozenset(range(1, config.n + 1))))
+    docs = []
+    for sc in scenarios:
+        outcome, transcripts = run_simulation(sc)
+        docs.append({"decisions": sorted(outcome.decisions.items()),
+                     "decided_round": outcome.decided_round,
+                     "transcripts": [t.to_json() for t in transcripts]})
+    return json.dumps(docs, sort_keys=True, separators=(",", ":"))
+
+
 _SLICES = {
+    "transcripts": _transcript_runs,
     "consistency": lambda: verify_consistency(seeds=3, grid=_SMALL_GRID),
     "robustness": lambda: verify_robustness(seeds=4, grid=_SMALL_GRID),
     "smoothness": lambda: verify_smoothness(flagships=_N10_FLAGSHIPS, seeds=2,

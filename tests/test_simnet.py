@@ -1,5 +1,6 @@
 """Engine-level checks: payload codec, scenario files, determinism, ledger."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -159,6 +160,23 @@ def test_record_transcripts_off_returns_empty():
 def test_round_budget_formula():
     assert round_budget(8) == 40
     assert round_budget(1) == 12
+
+
+def test_finished_run_leaves_no_reference_cycles():
+    # Persona instances, signers and the ledger must be freed by reference
+    # counting alone, or every finished run waits for the cyclic collector.
+    cfg = Configuration(40, frozenset(range(26, 41)), {i: i % 2 for i in range(1, 26)})
+    sc = Scenario(n=40, mode="auth", alpha=Fraction(3, 5), config=cfg,
+                  prediction=frozenset(range(1, 41)), adversary=replay_honest(1),
+                  seed=0, protocol="auth_pred_ba")
+    gc.collect()
+    gc.disable()
+    try:
+        outcome, _ = run_simulation(sc, record_transcripts=False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert outcome.termination
 
 
 # ---------------------------------------------------------------------------
