@@ -38,6 +38,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import Configuration, check_alpha, check_mode
@@ -315,6 +316,30 @@ def round_budget(n: int) -> int:
 _BY_SENDER = operator.itemgetter(0)
 
 
+def _log_round(logs, rnd, honest_msgs, inboxes):
+    """Append round rnd's RoundLog to logs (honest id -> its RoundLogs).
+
+    Each payload object is encoded once, and every entry that carries it
+    shares the string. The memo keys on id(payload): the caller keeps
+    honest_msgs and inboxes alive for the whole call, so no id is reused.
+    """
+    encoded = {}
+    sent = {i: [] for i in logs}
+    for sender, receivers, payload in honest_msgs:
+        pj = encoded.get(id(payload))
+        if pj is None:
+            pj = encoded[id(payload)] = payload_to_json(payload)
+        sent[sender].extend(zip(sorted(receivers), repeat(pj)))
+    for i, log in logs.items():
+        received = []
+        for s, p in inboxes[i]:
+            pj = encoded.get(id(p))
+            if pj is None:
+                pj = encoded[id(p)] = payload_to_json(p)
+            received.append((s, pj))
+        log.append(RoundLog(round=rnd, sent=sent[i], received=received))
+
+
 # ---------------------------------------------------------------------------
 # Contexts handed to protocol instances and adversaries
 # ---------------------------------------------------------------------------
@@ -482,14 +507,7 @@ def run_simulation(
         adversary.observe(rnd, inboxes)
 
         if record_transcripts:
-            for i in honest:
-                sent = []
-                for sender, receivers, payload in honest_msgs:
-                    if sender == i:
-                        pj = payload_to_json(payload)
-                        sent.extend((r, pj) for r in sorted(receivers))
-                received = [(s, payload_to_json(p)) for s, p in inboxes[i]]
-                logs[i].append(RoundLog(round=rnd, sent=sent, received=received))
+            _log_round(logs, rnd, honest_msgs, inboxes)
 
     if not ledger.honest_integrity(sc.config.honest):
         raise ForgeryError("ledger audit: honest signature minted by the adversary")

@@ -1,14 +1,22 @@
 """CLI behavior: exit codes, determinism, file outputs."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 import byzsim.cli as cli
-from byzsim.adversary import silent
+from byzsim.adversary import crash_after, random_noise, replay_honest, silent, split_brain
 from byzsim.core import Configuration
-from byzsim.simnet import Scenario
+from byzsim.simnet import (
+    SCHEMA_VERSION,
+    AdversaryStrategy,
+    RoundLog,
+    Scenario,
+    Transcript,
+    run_simulation,
+)
 
 
 @pytest.fixture
@@ -90,6 +98,128 @@ def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys
     scenario_file.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
     assert "byzsim: error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Transcript file
+# ---------------------------------------------------------------------------
+
+
+def _dumps(transcripts) -> str:
+    doc = {"schema_version": SCHEMA_VERSION,
+           "transcripts": [t.to_json() for t in transcripts]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _small(protocol, mode, adversary, prediction=None):
+    return Scenario(n=7, mode=mode, alpha=Fraction(3, 5),
+                    config=Configuration(7, frozenset({6, 7}),
+                                         {i: i % 2 for i in range(1, 6)}),
+                    prediction=prediction, adversary=adversary, seed=1,
+                    protocol=protocol)
+
+
+_P = frozenset({1, 2, 3, 6})
+_WRITER_CASES = {
+    "pred_ba": _small("pred_ba", "nonauth", random_noise(4), _P),
+    "auth_pred_ba": _small("auth_pred_ba", "auth", replay_honest(1), _P),
+    "phase_king": _small("phase_king", "nonauth", random_noise(2)),
+    "dolev_strong_ba": _small("dolev_strong_ba", "auth", replay_honest(0)),
+    "dolev_strong_broadcast": _small("dolev_strong_broadcast", "auth", silent()),
+    "crash_after": _small("pred_ba", "nonauth", crash_after(1), _P),
+}
+
+
+@pytest.mark.parametrize("sc", _WRITER_CASES.values(), ids=list(_WRITER_CASES))
+def test_transcript_writer_matches_json_dumps(sc):
+    _, transcripts = run_simulation(sc)
+    assert transcripts and all(t.rounds for t in transcripts)
+    assert "".join(cli._transcript_chunks(transcripts)) == _dumps(transcripts)
+
+
+def test_transcript_writer_covers_empty_lists():
+    _, transcripts = run_simulation(_WRITER_CASES["crash_after"])
+    rounds = [r for t in transcripts for r in t.rounds]
+    assert any(not r.sent for r in rounds) or any(not r.received for r in rounds)
+    hollow = [Transcript(node=1, rounds=[]),
+              Transcript(node=2, rounds=[RoundLog(round=1, sent=[], received=[])])]
+    for ts in (hollow, transcripts + hollow):
+        assert "".join(cli._transcript_chunks(ts)) == _dumps(ts)
+
+
+def test_transcript_writer_renders_each_nodes_received_list():
+    # Neighbours with unequal lists in one round, then a list equal to an
+    # earlier but not the previous node's.
+    heard = [[(3, '"a"')], [(3, '"b"'), (4, '"a"')], [(3, '"a"')], [(3, '"a"')]]
+    ts = [Transcript(node=k, rounds=[RoundLog(round=1, sent=[(5, '"x"')], received=r),
+                                     RoundLog(round=2, sent=[], received=heard[0])])
+          for k, r in enumerate(heard, start=1)]
+    assert "".join(cli._transcript_chunks(ts)) == _dumps(ts)
+
+
+def test_transcript_writer_with_no_honest_nodes():
+    sc = Scenario(n=4, mode="nonauth", alpha=Fraction(1, 2),
+                  config=Configuration(4, frozenset(range(1, 5)), {}),
+                  prediction=frozenset({1, 2}), adversary=silent(), seed=0,
+                  protocol="pred_ba")
+    _, transcripts = run_simulation(sc)
+    assert transcripts == []
+    assert "".join(cli._transcript_chunks(transcripts)) == _dumps(transcripts)
+
+
+class _OddPayloads(AdversaryStrategy):
+    """Sends every honest id a payload whose strings need JSON escapes."""
+
+    def emit(self, rnd, honest_messages):
+        return [(6, tuple(sorted(self.ctx.honest)),
+                 ("odd", 'q"uo\\te\n\t\x00', "\u00e9\u2603", rnd))]
+
+
+def test_transcript_writer_escapes_payload_strings():
+    _, transcripts = run_simulation(_WRITER_CASES["pred_ba"], adversary=_OddPayloads())
+    logged = [pj for t in transcripts for r in t.rounds for _, pj in r.received]
+    assert any('\\"' in pj and "\\u2603" in pj for pj in logged)
+    assert "".join(cli._transcript_chunks(transcripts)) == _dumps(transcripts)
+
+
+def _pinned_scenarios():
+    """One nonauth split_brain and one auth replay_honest run at n = 12."""
+    ids = range(1, 13)
+    faulty = frozenset({3, 7, 11})
+    honest = [i for i in ids if i not in faulty]
+    brain = Scenario(n=12, mode="nonauth", alpha=Fraction(2, 5),
+                     config=Configuration(12, faulty, {i: i % 2 for i in honest}),
+                     prediction=frozenset(ids),
+                     adversary=split_brain((honest[:4], honest[4:]), 0, 1),
+                     seed=5, protocol="pred_ba")
+    faulty = frozenset({2, 5, 9, 12})
+    replay = Scenario(n=12, mode="auth", alpha=Fraction(3, 5),
+                      config=Configuration(12, faulty,
+                                           {i: 0 for i in ids if i not in faulty}),
+                      prediction=frozenset(ids), adversary=replay_honest(1),
+                      seed=5, protocol="auth_pred_ba")
+    return {"split_brain": brain, "replay_honest": replay}
+
+
+# sha256 of the (outcome, transcript) files, taken before the streaming writer.
+_PINNED_DIGESTS = {
+    "split_brain": (
+        "a801feb205d8bfdeccec3c84985689d89f14df5214dceff76ea24c680acbe812",
+        "1c6a449158e3223fb8c934c4df7c055549f1f17fc3c405f916ee211c7184cbb4"),
+    "replay_honest": (
+        "d78663d4b42e1164ebaa16e1dd9833f18e68d94d4afe7f79fd664f9675c971c2",
+        "e9d8491b92d1c3b4f9eccc7531f84da57c4eda0cf310a0a8d64f260f7e862909"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_DIGESTS))
+def test_simulate_files_keep_their_bytes(name, tmp_path):
+    path, out, tr = (tmp_path / f for f in ("sc.json", "out.json", "tr.json"))
+    path.write_text(json.dumps(_pinned_scenarios()[name].to_json()))
+    assert cli.main(["simulate", "--scenario", str(path),
+                     "--out", str(out), "--transcripts", str(tr)]) == 0
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, tr))
+    assert digests == _PINNED_DIGESTS[name]
 
 
 def test_sweep_is_byte_deterministic(tmp_path):

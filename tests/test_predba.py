@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from byzsim.adversary import replay_honest, silent, split_brain
-from byzsim.core import Configuration, consistency_bound, robustness_bound
+from byzsim.core import (
+    Configuration,
+    consistency_bound,
+    robustness_bound,
+    theoretical_smoothness,
+)
 from byzsim.predba import ActiveSet, build_active_set
 from byzsim.simnet import Scenario, run_simulation
 
@@ -205,3 +210,30 @@ def test_passives_adopt_the_actives_value():
     assert out.termination and out.agreement
     # actives decide 1 unanimously and all passives adopt it over their own 0
     assert set(out.decisions.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Known defect: the auth wrapper below its smoothness curve
+# ---------------------------------------------------------------------------
+
+
+# alpha = 4/5, n = 30, faulty 1..23, P = {24..28}: the prediction misses the
+# honest ids 29 and 30, so eta = eta_H = 2 and the curve promises f = 23.
+P0_N, P0_ALPHA = 30, Fraction(4, 5)
+P0_FAULTY, P0_PREDICTION = range(1, 24), frozenset(range(24, 29))
+
+
+def test_p0_counterexample_sits_on_the_auth_curve():
+    assert theoretical_smoothness("auth", P0_ALPHA, P0_N, 2) == len(P0_FAULTY)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP P0: the auth active set pads P = {24..28} with the faulty ids "
+    "1..6, so 6 of its 11 members are faulty against an inner budget of 5"))
+@pytest.mark.parametrize("bit, adversary", [(0, replay_honest(1)), (1, silent())],
+                         ids=["replay_honest", "silent"])
+def test_auth_wrapper_meets_smoothness_at_p0_counterexample(bit, adversary):
+    out = _run("auth", P0_ALPHA, P0_N, P0_FAULTY,
+               {i: bit for i in range(24, P0_N + 1)}, P0_PREDICTION, adversary)
+    assert out.termination and out.agreement and out.validity
+    assert set(out.decisions.values()) == {bit}

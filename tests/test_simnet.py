@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from byzsim.adversary import random_noise, replay_honest, silent
+from byzsim import protocols, simnet
+from byzsim.adversary import build_strategy, random_noise, replay_honest, silent
 from byzsim.core import Configuration
 from byzsim.simnet import (
     SCHEMA_VERSION,
@@ -149,6 +150,50 @@ def test_transcripts_cover_honest_side_only():
         for r in t.rounds:
             for _, payload in r.sent + r.received:
                 payload_from_json(payload)  # every entry is canonical JSON
+
+
+def test_transcripts_encode_each_payload_once_per_round(monkeypatch):
+    # Calls go through the module global, where tracing hooks in; the
+    # signature digests that share the encoder are told apart and not counted.
+    # The memo keys on the payload object: an equal payload the adversary
+    # built itself is a second object and may be encoded again.
+    n, faulty = 12, frozenset({2, 5, 9, 12})
+    sc = Scenario(n=n, mode="auth", alpha=Fraction(3, 5),
+                  config=Configuration(n, faulty, {i: 0 for i in range(1, n + 1)
+                                                   if i not in faulty}),
+                  prediction=frozenset(range(1, n + 1)), adversary=replay_honest(1),
+                  seed=0, protocol="auth_pred_ba")
+    strategy = build_strategy(sc.adversary, sc)
+    now, in_digest, calls = [0], [False], []
+    observe, digest, encode = strategy.observe, protocols.payload_digest, payload_to_json
+
+    def observe_round(rnd, inboxes):  # the engine encodes round rnd next
+        observe(rnd, inboxes)
+        now[0] = rnd
+
+    def flagged_digest(payload):
+        in_digest[0] = True
+        try:
+            return digest(payload)
+        finally:
+            in_digest[0] = False
+
+    def counting(payload):
+        if not in_digest[0]:
+            calls.append((now[0], payload))  # holding payloads keeps ids unique
+        return encode(payload)
+
+    strategy.observe = observe_round
+    monkeypatch.setattr(protocols, "payload_digest", flagged_digest)
+    monkeypatch.setattr(simnet, "payload_to_json", counting)
+    _, transcripts = run_simulation(sc, adversary=strategy)
+
+    keys = [(rnd, id(payload)) for rnd, payload in calls]
+    assert len(set(keys)) == len(keys)
+    entries = [(r.round, pj) for t in transcripts for r in t.rounds
+               for _, pj in r.sent + r.received]
+    assert {(rnd, encode(payload)) for rnd, payload in calls} == set(entries)
+    assert 10 * len(calls) < len(entries)
 
 
 def test_record_transcripts_off_returns_empty():
