@@ -181,13 +181,35 @@ class _Noise(AdversaryStrategy):
 
 
 class _Personas(AdversaryStrategy):
-    def __init__(self, groups, feed_overrides, emission, cutoff):
+    def __init__(self, groups, feed_overrides, emission, cutoff, scenario: Scenario):
         # groups: {name: {node: (input, pred-or-None)}}
+        # feed_overrides: (group, set(senders), from_group)
+        # emission: (group, senders-or-None, set(receivers))
+        # The spec is checked here, where it is materialized, so a bad one
+        # fails before any run starts.
+        faulty = scenario.config.faulty
+        if scenario.mode == "auth":
+            for members in groups.values():
+                for node in members:
+                    if node not in faulty:
+                        raise ForgeryError(
+                            f"auth mode: cannot run an instance of honest node {node} "
+                            f"without forging its signatures")
+        self._emit_rules = []
+        for g, senders, receivers in emission:
+            pick = tuple(sorted(senders if senders is not None else groups[g]))
+            for s in pick:
+                if s not in faulty:
+                    raise ForgeryError(
+                        f"emission rule names honest node {s} as sender")
+                if s not in groups.get(g, ()):
+                    raise ValueError(f"group {g!r} has no instance of node {s}")
+            self._emit_rules.append((g, pick, frozenset(receivers)))
         self.groups = groups
-        self.feed_overrides = list(feed_overrides)  # (group, set(senders), from_group)
-        self.emission = list(emission)  # (group, senders-or-None, set(receivers))
+        self.feed_overrides = list(feed_overrides)
         self.cutoff = cutoff
         self._out = {}
+        self._addressed = {}  # address tuple -> its interned frozenset
 
     def begin(self, ctx):
         super().begin(ctx)
@@ -199,16 +221,6 @@ class _Personas(AdversaryStrategy):
                 if pred is None:
                     pred = sc.prediction_for(node)
                 self.instances[(g, node)] = ctx.make_instance(node, inp, pred)
-        self._emit_rules = []
-        for g, senders, receivers in self.emission:
-            pick = tuple(sorted(senders if senders is not None else self.groups[g]))
-            for s in pick:
-                if s not in ctx.faulty:
-                    raise ForgeryError(
-                        f"emission rule names honest node {s} as sender")
-                if (g, s) not in self.instances:
-                    raise ValueError(f"group {g!r} has no instance of node {s}")
-            self._emit_rules.append((g, pick, frozenset(receivers)))
         # The feed source for a (group, sender) pair never changes mid-run.
         # Per group: the senders fed by an instance's outbox, in ascending
         # order with that instance's key; the instance's inbox feeds the others.
@@ -230,9 +242,18 @@ class _Personas(AdversaryStrategy):
             return g
         return None
 
+    def _interned(self, addressed) -> frozenset:
+        key = tuple(addressed)
+        interned = self._addressed.get(key)
+        if interned is None:
+            interned = self._addressed[key] = frozenset(key)
+        return interned
+
     def emit(self, rnd, honest_messages):
+        # Equal address lists map to one frozenset object, so observe can
+        # tell the few distinct ones apart cheaply.
         self._out = {
-            key: [(frozenset(addressed), payload)
+            key: [(self._interned(addressed), payload)
                   for addressed, payload in inst.outbox(rnd)]
             for key, inst in self.instances.items()
         }
@@ -249,16 +270,38 @@ class _Personas(AdversaryStrategy):
 
     def observe(self, rnd, inboxes):
         feed, out = self._feed, self._out
+        # A persona's inbox is fixed by its group, its engine inbox and which
+        # address sets of its group's fed traffic name it; the interned sets
+        # of the run cover the latter. Personas that agree on all three
+        # share one list.
+        sets = tuple(self._addressed.values())
+        named = {}  # id -> which interned address sets name it
+        views = {}
         for (g, i), inst in self.instances.items():
-            fed_ids, fed = feed[g]
-            inbox = [m for m in inboxes[i] if m[0] not in fed_ids]
-            for s, src in fed:
-                for addressed, payload in out[src]:
-                    if i in addressed:
-                        inbox.append((s, payload))
-            # Stable: each sender's messages keep their order.
-            inbox.sort(key=operator.itemgetter(0))
+            box = inboxes[i]
+            heard = named.get(i)
+            if heard is None:
+                heard = named[i] = tuple(i in a for a in sets)
+            key = (g, id(box), heard)
+            inbox = views.get(key)
+            if inbox is None:
+                fed_ids, fed = feed[g]
+                inbox = [m for m in box if m[0] not in fed_ids]
+                for s, src in fed:
+                    for addressed, payload in out[src]:
+                        if i in addressed:
+                            inbox.append((s, payload))
+                # Stable: each sender's messages keep their order.
+                inbox.sort(key=operator.itemgetter(0))
+                views[key] = inbox
             inst.deliver(rnd, inbox)
+
+
+def _bit(value) -> int:
+    bit = int(value)
+    if bit not in (0, 1):
+        raise ValueError(f"persona input must be 0 or 1, got {value!r}")
+    return bit
 
 
 def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy:
@@ -274,15 +317,15 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         return _Noise(int(p.get("seed", 0)))
 
     if name == "crash_after":
-        inputs = {int(k): int(v) for k, v in (p.get("inputs") or {}).items()}
+        inputs = {int(k): _bit(v) for k, v in (p.get("inputs") or {}).items()}
         groups = {"w": {c: (inputs.get(c, 0), None) for c in faulty}}
         emission = [("w", None, set(honest))]
-        return _Personas(groups, [], emission, cutoff=int(p["round"]))
+        return _Personas(groups, [], emission, int(p["round"]), scenario)
 
     if name == "replay_honest":
         pred = frozenset(p["pred"]) if p.get("pred") is not None else None
-        groups = {"w": {c: (int(p["input"]), pred) for c in faulty}}
-        return _Personas(groups, [], [("w", None, set(honest))], cutoff=None)
+        groups = {"w": {c: (_bit(p["input"]), pred) for c in faulty}}
+        return _Personas(groups, [], [("w", None, set(honest))], None, scenario)
 
     if name == "split_brain":
         a_side, b_side = set(p["a"]), set(p["b"])
@@ -290,16 +333,16 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
             raise ValueError("split_brain partition sides must be honest subsets")
         pred = frozenset(p["pred"]) if p.get("pred") is not None else None
         groups = {
-            "a": {c: (int(p["value_a"]), pred) for c in faulty},
-            "b": {c: (int(p["value_b"]), pred) for c in faulty},
+            "a": {c: (_bit(p["value_a"]), pred) for c in faulty},
+            "b": {c: (_bit(p["value_b"]), pred) for c in faulty},
         }
         emission = [("a", None, honest - b_side), ("b", None, b_side)]
-        return _Personas(groups, [], emission, cutoff=None)
+        return _Personas(groups, [], emission, None, scenario)
 
     if name == "persona_network":
         groups = {
             g: {
-                int(node): (m["input"],
+                int(node): (_bit(m["input"]),
                             frozenset(m["pred"]) if m["pred"] is not None else None)
                 for node, m in members.items()
             }
@@ -313,7 +356,7 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
             (e["group"], e["senders"], set(e["receivers"]))
             for e in p.get("emission", [])
         ]
-        return _Personas(groups, overrides, emission, cutoff=p.get("cutoff"))
+        return _Personas(groups, overrides, emission, p.get("cutoff"), scenario)
 
     raise ValueError(f"unknown adversary strategy {name!r}")
 

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -38,18 +39,42 @@ from .harness import (
     sweep,
     sweep_to_csv,
 )
-from .simnet import SCHEMA_VERSION, Scenario, run_simulation
+from . import adversary
+from .simnet import SCHEMA_VERSION, ForgeryError, Scenario, run_simulation
+
+# What parsing a malformed scenario document or adversary spec can raise:
+# wrong types, missing keys, bad numbers (1/0, Infinity), and an adversary
+# asked to act for an honest node.
+_MALFORMED = (AttributeError, ForgeryError, KeyError, OverflowError, TypeError,
+              ValueError, ZeroDivisionError)
 
 
 class UsageError(Exception):
     """Operator mistake: bad flag combination or unusable input file."""
 
 
+def _open_mode(path: str) -> int:
+    """The permission bits open(path, "w") would leave path with: an existing
+    file keeps its own, a new one gets 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Write text, or the chunks of an iterable in order, to path atomically."""
+    """Write text, or the chunks of an iterable in order, to path atomically.
+
+    The file ends up with the mode a plain open(path, "w") would give it;
+    the temporary file mkstemp makes is readable by its owner only.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    mode = _open_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".byzsim-tmp-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
@@ -185,19 +210,22 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"cannot read scenario file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"scenario file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError("invalid scenario: the file must hold a JSON object")
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
         scenario = Scenario.from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid scenario: {exc}") from None
+        strategy = adversary.build_strategy(scenario.adversary, scenario)
+    except _MALFORMED as exc:
+        raise UsageError(f"invalid scenario: {type(exc).__name__}: {exc}") from None
 
     try:
         outcome, transcripts = run_simulation(
-            scenario, record_transcripts=args.transcripts is not None
+            scenario, adversary=strategy, record_transcripts=args.transcripts is not None
         )
     except (KeyError, TypeError, ValueError) as exc:
-        # Bad adversary or protocol parameters show only when the run is built.
+        # Bad protocol or persona parameters show only when the run is built.
         raise UsageError(f"invalid scenario: {type(exc).__name__}: {exc}") from None
     out_doc = {
         "schema_version": SCHEMA_VERSION,

@@ -135,13 +135,16 @@ class PhaseKing:
 
 
 class _BroadcastInstance:
-    """One signed-broadcast instance (a single designated sender).
+    """One node's state in one signed-broadcast instance (a single designated sender).
 
     A chain is a tuple of (signer_id, token) pairs. The j-th token signs the
     digest of ("ds-link", sender, value, signers-before-j), so a chain is
     bound to its exact signer sequence and value. A relay received in round
     r is accepted iff its chain carries exactly r pairwise-distinct
-    participant signatures, the first by the designated sender, all valid.
+    participant signatures, the first by the designated sender, all valid
+    (see _ChainIndex). Each value is accepted once; a node other than the
+    sender relays what it accepts in rounds 1..t, with its own signature
+    appended, unless its signature is already on the chain.
     """
 
     # Link digests are pure functions of (sender, value, signer prefix), so
@@ -150,88 +153,36 @@ class _BroadcastInstance:
     # canonicalization inside payload_digest dominates long-chain rounds.
     _LINK_DIGESTS = {}
 
-    def __init__(self, me, sender, value, participants, t, signer):
+    def __init__(self, me, sender, value, signer):
         self.me = me
         self.sender = sender
-        self.participants = tuple(sorted(set(participants)))
-        self.group = set(self.participants)
-        self.t = t
         self.signer = signer
         self.extracted = set()
-        self._relayed = set()
         self._queue = {}
         if me == sender and value is not None:
             v = int(value)
-            chain = ((sender, signer.sign(self._link_digest(v, ()))),)
+            chain = ((sender, signer.sign(_link_digest(sender, v, ()))),)
             self._queue[1] = [("ds", sender, 1, v, chain)]
             self.extracted.add(v)
-
-    def _link_digest(self, value: int, signers: tuple) -> str:
-        cache = _BroadcastInstance._LINK_DIGESTS
-        key = (self.sender, value, signers)
-        d = cache.get(key)
-        if d is None:
-            if len(cache) > 200_000:
-                cache.clear()
-            d = payload_digest(("ds-link", self.sender, value, signers))
-            cache[key] = d
-        return d
 
     def take_outbox(self, rnd: int):
         return self._queue.pop(rnd, [])
 
-    def _valid(self, rnd: int, payload) -> Optional[int]:
-        try:
-            tag, s, r, v, chain = payload
-        except (TypeError, ValueError):
-            return None
-        if tag != "ds" or s != self.sender or r != rnd or v not in (0, 1):
-            return None
-        if not isinstance(chain, tuple) or len(chain) != rnd:
-            return None
-        signers = []
-        for link in chain:
-            if not (isinstance(link, tuple) and len(link) == 2):
-                return None
-            signers.append(link[0])
-        if signers[0] != self.sender or len(set(signers)) != len(signers):
-            return None
-        if not set(signers) <= self.group:
-            return None
-        for j, (who, token) in enumerate(chain):
-            if not self.signer.verify(token, who, self._link_digest(v, tuple(signers[:j]))):
-                return None
-        return v
-
-    def deliver(self, rnd: int, inbox):
-        if rnd > ds_broadcast_rounds(self.t):
-            return
-        for _, payload in inbox:
-            if len(self.extracted) == 2:
-                return
-            # Peek at the value slot first: a message carrying an already
-            # extracted value changes no state, valid chain or not, so the
-            # expensive chain validation can be skipped outright.
-            try:
-                peek = payload[3]
-            except (TypeError, IndexError, KeyError):
+    def accept(self, rnd: int, t: int, hits) -> bool:
+        """Accept the (position, payload) hits in order; True iff a relay was queued."""
+        queued = False
+        for _, (tag, s, r, val, chain) in hits:
+            self.extracted.add(val)
+            if rnd > t or self.me == self.sender:
                 continue
-            if peek in self.extracted:
+            signers = tuple(link[0] for link in chain)
+            if self.me in signers:
                 continue
-            v = self._valid(rnd, payload)
-            if v is None:
-                continue
-            self.extracted.add(v)
-            if rnd <= self.t and len(self._relayed) < 2 and self.me != self.sender:
-                tag, s, r, val, chain = payload
-                signers = tuple(link[0] for link in chain)
-                if self.me in signers:
-                    continue
-                token = self.signer.sign(self._link_digest(val, signers))
-                self._queue.setdefault(rnd + 1, []).append(
-                    ("ds", s, rnd + 1, val, chain + ((self.me, token),))
-                )
-                self._relayed.add(val)
+            token = self.signer.sign(_link_digest(s, val, signers))
+            self._queue.setdefault(rnd + 1, []).append(
+                ("ds", s, rnd + 1, val, chain + ((self.me, token),)))
+            queued = True
+        return queued
 
     def output(self) -> int:
         if len(self.extracted) == 1:
@@ -239,15 +190,128 @@ class _BroadcastInstance:
         return 0
 
 
-class DolevStrongBroadcast:
+def _link_digest(sender, value: int, signers: tuple) -> str:
+    cache = _BroadcastInstance._LINK_DIGESTS
+    key = (sender, value, signers)
+    d = cache.get(key)
+    if d is None:
+        if len(cache) > 200_000:
+            cache.clear()
+        d = payload_digest(("ds-link", sender, value, signers))
+        cache[key] = d
+    return d
+
+
+class _ChainIndex:
+    """The signed-broadcast relays of one round's inbox, by (sender, value).
+
+    The first valid relay for each (sender, value) is found on first demand,
+    in inbox order, and then serves every node that holds the same inbox:
+    chain validity does not depend on the node checking it. A round-r chain
+    verifies links over signer prefixes shorter than r, and the relay
+    signatures minted while round r is delivered are over prefixes of
+    length r. Relays with a malformed shape, a sender outside the group, a
+    value other than 0/1 or another round's number never qualify and are
+    left out.
+    """
+
+    def __init__(self, inbox, rnd: int, group: frozenset):
+        self.inbox = inbox  # held so its id stays unique while the index is cached
+        self.group = group
+        self.relays = {}  # sender -> {value: [(position, payload), ...]}
+        self._first = {}  # (sender, value) -> (position, payload) or None
+        relays = self.relays
+        for pos, (_, p) in enumerate(inbox):
+            if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
+                    and p[1] in group and (p[3] == 0 or p[3] == 1)):
+                by_value = relays.get(p[1])
+                if by_value is None:
+                    by_value = relays[p[1]] = {}
+                same = by_value.get(p[3])
+                if same is None:
+                    by_value[p[3]] = [(pos, p)]
+                else:
+                    same.append((pos, p))
+
+    def accepted(self, sender, extracted, verify) -> list:
+        """(position, payload) of the first valid relay of each value of sender
+        not in extracted, in inbox order."""
+        hits = []
+        for v, relays in self.relays[sender].items():
+            if v in extracted:
+                continue
+            key = (sender, v)
+            if key in self._first:
+                hit = self._first[key]
+            else:
+                hit = self._first[key] = next(
+                    (r for r in relays if self._valid(r[1], verify)), None)
+            if hit is not None:
+                hits.append(hit)
+        if len(hits) == 2:
+            hits.sort()
+        return hits
+
+    def _valid(self, payload, verify) -> bool:
+        _, s, rnd, v, chain = payload
+        if not isinstance(chain, tuple) or len(chain) != rnd:
+            return False
+        signers = []
+        for link in chain:
+            if not (isinstance(link, tuple) and len(link) == 2):
+                return False
+            signers.append(link[0])
+        if signers[0] != s or len(set(signers)) != len(signers):
+            return False
+        if not self.group.issuperset(signers):
+            return False
+        for j, (who, token) in enumerate(chain):
+            if not verify(token, who, _link_digest(s, v, tuple(signers[:j]))):
+                return False
+        return True
+
+
+class _SignedRelays:
+    """What both signed-broadcast protocols share: the group, the budget and
+    the per-round chain indexes.
+
+    Indexes are cached in the memo of the run's signature ledger, keyed by
+    round, inbox object, group and t, so every node of a run that receives
+    the same inbox list shares one. Only the current round's indexes are
+    kept. A signer without a ledger gets a private memo.
+    """
+
+    def __init__(self, me, participants, t, signer):
+        if t < 0:
+            raise ValueError("budget t must be >= 0")
+        self.me = me
+        self.participants = tuple(sorted(set(participants)))
+        self.t = t
+        self._group = frozenset(self.participants)
+        self._signer = signer
+        ledger = getattr(signer, "ledger", None)
+        self._memo = ledger.memo if ledger is not None else {}
+
+    def _index(self, rnd: int, inbox) -> _ChainIndex:
+        memo = self._memo
+        indexes = memo.get(rnd)
+        if indexes is None:
+            memo.clear()
+            indexes = memo[rnd] = {}
+        key = (id(inbox), self._group, self.t)
+        index = indexes.get(key)
+        if index is None:
+            index = indexes[key] = _ChainIndex(inbox, rnd, self._group)
+        return index
+
+
+class DolevStrongBroadcast(_SignedRelays):
     """Standalone signed broadcast: every node decides the sender's value."""
 
     def __init__(self, me, sender, value, participants, t, signer):
-        if t < 0:
-            raise ValueError("budget t must be >= 0")
-        self.inst = _BroadcastInstance(me, sender, value, participants, t, signer)
+        super().__init__(me, participants, t, signer)
+        self.inst = _BroadcastInstance(me, sender, value, signer)
         self.rounds = ds_broadcast_rounds(t)
-        self.participants = self.inst.participants
         self.decision: Optional[int] = None
 
     def outbox(self, rnd: int):
@@ -256,34 +320,32 @@ class DolevStrongBroadcast:
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
             return
-        self.inst.deliver(rnd, inbox)
+        inst = self.inst
+        index = self._index(rnd, inbox)
+        if inst.sender in index.relays:
+            inst.accept(rnd, self.t,
+                        index.accepted(inst.sender, inst.extracted, self._signer.verify))
         if rnd == self.rounds:
-            self.decision = self.inst.output()
+            self.decision = inst.output()
 
 
-class DolevStrongBA:
+class DolevStrongBA(_SignedRelays):
     """Agreement via parallel signed broadcasts, one instance per member.
 
     After the t+1 broadcast rounds each node takes the majority of the m
     instance outputs (ties to 0) as its decision, then one more round
-    exchanges the decisions so they appear in transcripts.
+    exchanges the decisions so they appear in transcripts. A node builds
+    the instance of another sender only when it first accepts a value from
+    it; a missing instance outputs 0, as an instance that extracted nothing.
     """
 
     def __init__(self, me, input_bit, participants, t, signer):
-        if t < 0:
-            raise ValueError("budget t must be >= 0")
-        self.me = me
-        self.participants = tuple(sorted(set(participants)))
+        super().__init__(me, participants, t, signer)
         if me not in self.participants:
             raise ValueError(f"node {me} is not among the participants")
-        self.t = t
         self.rounds = ds_ba_rounds(t)
-        self.instances = {
-            s: _BroadcastInstance(
-                me, s, input_bit if s == me else None, self.participants, t, signer
-            )
-            for s in self.participants
-        }
+        self.instances = {me: _BroadcastInstance(me, me, input_bit, signer)}
+        self._queued = {1: {me}}  # round -> senders whose instance queued relays
         self._verdict: Optional[int] = None
         self.decision: Optional[int] = None
 
@@ -293,30 +355,27 @@ class DolevStrongBA:
         if rnd == self.rounds:
             return [(self.participants, ("dsdec", self._verdict))]
         out = []
-        for inst in self.instances.values():  # in participant order
-            if rnd in inst._queue:
-                out.extend((self.participants, p) for p in inst.take_outbox(rnd))
+        for s in sorted(self._queued.pop(rnd, ())):  # in participant order
+            out.extend((self.participants, p) for p in self.instances[s].take_outbox(rnd))
         return out
 
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
             return
-        if rnd < self.rounds:
-            # A relay whose value its instance already extracted changes
-            # nothing, so it is dropped here rather than handed on.
-            by_instance = {}
-            instances = self.instances
-            for msg in inbox:
-                payload = msg[1]
-                if isinstance(payload, tuple) and len(payload) == 5 and payload[0] == "ds":
-                    inst = instances.get(payload[1])
-                    if inst is not None and payload[3] not in inst.extracted:
-                        by_instance.setdefault(inst, []).append(msg)
-            for inst, msgs in by_instance.items():
-                inst.deliver(rnd, msgs)
-            if rnd == self.rounds - 1:
-                outs = [self.instances[s].output() for s in self.participants]
-                ones = sum(outs)
-                self._verdict = 1 if 2 * ones > len(outs) else 0
-        else:
+        if rnd == self.rounds:
             self.decision = self._verdict
+            return
+        index = self._index(rnd, inbox)
+        instances, verify = self.instances, self._signer.verify
+        for s in index.relays:
+            inst = instances.get(s)
+            hits = index.accepted(s, inst.extracted if inst is not None else (), verify)
+            if not hits:
+                continue
+            if inst is None:
+                inst = instances[s] = _BroadcastInstance(self.me, s, None, self._signer)
+            if inst.accept(rnd, self.t, hits):
+                self._queued.setdefault(rnd + 1, set()).add(s)
+        if rnd == self.rounds - 1:
+            ones = sum(inst.output() == 1 for inst in instances.values())
+            self._verdict = 1 if 2 * ones > len(self.participants) else 0

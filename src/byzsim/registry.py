@@ -20,7 +20,10 @@ def _group(ctx: NodeCtx, resilience: int):
     resilience * t < len(group)."""
     p = ctx.params.get("participants")
     group = tuple(sorted(p)) if p else tuple(range(1, ctx.n + 1))
-    return group, ctx.params.get("t", math.ceil(len(group) / resilience) - 1)
+    t = ctx.params.get("t", math.ceil(len(group) / resilience) - 1)
+    if type(t) is not int:
+        raise ValueError(f"budget t must be an integer, got {t!r}")
+    return group, t
 
 
 def _pred(ctx: NodeCtx):

@@ -13,6 +13,12 @@ Rounds are numbered from 1. In every round the engine
    ordered by sender id, and delivers the honest ones,
 4. hands the adversary every inbox of the round to observe.
 
+Inboxes are read-only. Ids addressed by exactly the same receiver tuples
+in a round get the same messages, so they share one inbox list, and a
+deliver or observe that mutated its inbox would change what other nodes
+receive. Protocols may key per-round caches on the inbox object (see the
+Dolev-Strong chain index in protocols).
+
 A run terminates when every honest node has decided, or fails to terminate
 once the round budget 4*(n+2) is exhausted.
 
@@ -113,6 +119,10 @@ class SignatureLedger:
     def __init__(self):
         self._minted = {}  # (signer, digest) -> token
         self._minted_by_adversary = set()
+        # Per-run scratch space for results that depend only on what the
+        # ledger verifies, such as the signed-broadcast chain indexes in
+        # protocols; it lives and dies with the run.
+        self.memo = {}
 
     @staticmethod
     def _token(signer: int, digest: str) -> str:
@@ -137,15 +147,15 @@ class Signer:
     """A node's signing capability, bound to the run's ledger."""
 
     def __init__(self, ledger: SignatureLedger, node_id: int, *, adversarial: bool = False):
-        self._ledger = ledger
+        self.ledger = ledger
         self.node_id = node_id
         self._adversarial = adversarial
 
     def sign(self, digest: str) -> str:
-        return self._ledger.mint(self.node_id, digest, adversarial=self._adversarial)
+        return self.ledger.mint(self.node_id, digest, adversarial=self._adversarial)
 
     def verify(self, token: str, signer: int, digest: str) -> bool:
-        return self._ledger.verify(token, signer, digest)
+        return self.ledger.verify(token, signer, digest)
 
 
 class _RefusingSigner:
@@ -431,12 +441,64 @@ class AdversaryStrategy:
         inboxes maps every honest id and every id in listens to the list of
         (sender, payload) addressed to it this round, honest and faulty
         traffic alike, ordered by sender and, per sender, by emission.
+        The lists are read-only: ids addressed alike share one list, which
+        is also the list their honest nodes were handed.
         """
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
+
+
+_RECEIVERS = operator.itemgetter(1)
+
+
+class _Fanout:
+    """Which listeners of a run share an inbox, per set of receiver tuples.
+
+    Listeners addressed by exactly the same receiver tuples in a round
+    receive exactly the same messages, so they share one inbox list, and
+    every listener no message addresses shares one empty list. A listener
+    named twice in a tuple gets each of its messages twice. A round's
+    layout depends only on its set of distinct receiver tuples, so it is
+    worked out once per run for each such set.
+    """
+
+    def __init__(self, listeners):
+        self.listeners = listeners
+        self._listening = frozenset(listeners)
+        self._layouts = {}  # receiver tuples -> (inbox count, where, fan-out)
+
+    def inboxes(self, keys: frozenset):
+        """Empty inboxes for one round: (listener -> inbox, receiver tuple ->
+        the inboxes its messages go to, once per naming)."""
+        layout = self._layouts.get(keys)
+        if layout is None:
+            layout = self._layouts[keys] = self._layout(keys)
+        count, where, fanout = layout
+        box = [[] for _ in range(count)].__getitem__
+        return (dict(zip(self.listeners, map(box, where))),
+                {key: list(map(box, groups)) for key, groups in fanout})
+
+    def _layout(self, keys):
+        heard = {}  # listener -> the keys that name it, with repeats
+        for key in keys:
+            for r in key:
+                if r in self._listening:
+                    heard.setdefault(r, []).append(key)
+        groups = {(): 0}  # the keys naming a listener -> its inbox number
+        where = []  # inbox number of each listener
+        fanout = {key: [] for key in keys}
+        for i in self.listeners:
+            sig = tuple(heard.get(i, ()))
+            g = groups.get(sig)
+            if g is None:
+                g = groups[sig] = len(groups)
+                for key in sig:
+                    fanout[key].append(g)
+            where.append(g)
+        return len(groups), where, list(fanout.items())
 
 
 def run_simulation(
@@ -470,9 +532,7 @@ def run_simulation(
     logs = {i: [] for i in honest} if record_transcripts else None
     decided_round = {}
     budget = round_budget(sc.n)
-    listeners = sorted(sc.config.honest | adversary.listens)
-    slot = {i: k for k, i in enumerate(listeners)}
-    fanout = {}  # receivers -> inbox slots of the listeners among them
+    fanout = _Fanout(sorted(sc.config.honest | adversary.listens))
     rnd = 0
     while rnd < budget and len(decided_round) < len(honest):
         rnd += 1
@@ -485,20 +545,15 @@ def run_simulation(
             if sender not in sc.config.faulty:
                 raise ForgeryError(f"adversary tried to send as honest node {sender}")
             faulty_msgs.append((sender, tuple(receivers), payload))
-
+        msgs = sorted(honest_msgs + faulty_msgs, key=_BY_SENDER) if faulty_msgs \
+            else honest_msgs
+        inboxes, targets = fanout.inboxes(frozenset(map(_RECEIVERS, msgs)))
         # Handing out the messages in stable sender order fills every
         # inbox already sorted by sender, ties in emission order.
-        boxes = [[] for _ in listeners]
-        for sender, receivers, payload in (
-                sorted(honest_msgs + faulty_msgs, key=_BY_SENDER) if faulty_msgs
-                else honest_msgs):
-            targets = fanout.get(receivers)
-            if targets is None:
-                targets = fanout[receivers] = [slot[r] for r in receivers if r in slot]
+        for sender, receivers, payload in msgs:
             item = (sender, payload)
-            for k in targets:
-                boxes[k].append(item)
-        inboxes = dict(zip(listeners, boxes))
+            for box in targets[receivers]:
+                box.append(item)
         for i in honest:
             nodes[i].deliver(rnd, inboxes[i])
             if i not in decided_round and nodes[i].decision is not None:

@@ -1,13 +1,29 @@
 """CLI behavior: exit codes, determinism, file outputs."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
+import os
+import stat
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import byzsim.cli as cli
-from byzsim.adversary import crash_after, random_noise, replay_honest, silent, split_brain
+from byzsim.adversary import (
+    crash_after,
+    persona_network,
+    random_noise,
+    replay_honest,
+    silent,
+    split_brain,
+)
 from byzsim.core import Configuration
 from byzsim.simnet import (
     SCHEMA_VERSION,
@@ -332,3 +348,123 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Output file modes
+# ---------------------------------------------------------------------------
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+_OUTPUTS = {
+    "simulate": (["simulate", "--scenario", "{scenario}", "--out", "{a}",
+                  "--transcripts", "{b}"], ("a", "b")),
+    "sweep": (["sweep", "--mode", "nonauth", "--alpha", "3/5", "--n", "6",
+               "--eta-range", "0:0", "--trials", "1", "--seed", "0", "--out", "{a}"],
+              ("a",)),
+    "curves": (["curves", "--mode", "auth", "--alpha", "3/4", "--n", "8", "--out", "{a}"],
+               ("a",)),
+}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_output_files_get_the_mode_open_would_give(command, umask, scenario_file,
+                                                   tmp_path):
+    argv, outputs = _OUTPUTS[command]
+    paths = {"scenario": str(scenario_file), "a": str(tmp_path / "a.out"),
+             "b": str(tmp_path / "b.out")}
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert cli.main([arg.format(**paths) for arg in argv]) == 0
+    finally:
+        os.umask(old)
+    for key in outputs:
+        assert _mode(paths[key]) == _mode(tmp_path / "plain")
+
+
+def test_output_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    out = tmp_path / "curves.csv"
+    out.write_text("old\n")
+    os.chmod(out, 0o640)
+    assert cli.main(["curves", "--mode", "auth", "--alpha", "3/4", "--n", "8",
+                     "--out", str(out)]) == 0
+    assert _mode(out) == 0o640
+    assert out.read_text() != "old\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed scenario files
+# ---------------------------------------------------------------------------
+
+
+def _fuzz_bases():
+    n = 6
+    config = Configuration(n, frozenset({5, 6}), {i: i % 2 for i in range(1, 5)})
+    P = frozenset(range(1, 5))
+
+    def doc(mode, protocol, adversary, prediction=None, **params):
+        return Scenario(n=n, mode=mode, alpha=Fraction(3, 5), config=config,
+                        prediction=prediction, adversary=adversary, seed=0,
+                        protocol=protocol, params=params).to_json()
+
+    return [
+        doc("nonauth", "pred_ba", split_brain(([1, 2], [3, 4]), 0, 1), P),
+        doc("auth", "auth_pred_ba", replay_honest(1, [1, 5]),
+            {1: P, 2: P, 3: P, 4: frozenset()}),
+        doc("auth", "dolev_strong_broadcast",
+            persona_network({"x": {5: (1, [5, 6]), 6: (0, None)}},
+                            feed_overrides=[("x", [1], "x")],
+                            emission=[("x", None, [1, 2, 3])], cutoff=3),
+            participants=[1, 2, 3, 4, 5], t=1, sender=5),
+        doc("nonauth", "phase_king", crash_after(2, {5: 1}), t=1),
+        doc("auth", "dolev_strong_ba", random_noise(3)),
+    ]
+
+
+_FUZZ_BASES = _fuzz_bases()
+_WRONG = [None, True, -1, 0, 2.5, "x", "", [], [1, "a"], {}, {"a": 1}, [[1]],
+          float("inf"), float("nan"), "1/0", "3/5", "pred_ba"]
+_OUT_OF_RANGE = [0, -1, 7, 99, [0], [7, 1], {"7": 1}, {"0": [1]}]
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_simulate_fuzzed_scenario_exits_zero_or_two(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        action = data.draw(st.sampled_from(("drop", "wrong", "id", "id_key")))
+        if action == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "id_key" and isinstance(parent, dict):
+            parent[str(data.draw(st.sampled_from([0, -1, 7, 99])))] = parent.pop(path[-1])
+        else:
+            pool = _OUT_OF_RANGE if action.startswith("id") else _WRONG
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(pool)))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "scenario.json")
+        with open(scenario, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(["simulate", "--scenario", scenario,
+                           "--out", os.path.join(tmp, "out.json")])
+    assert rc in (0, 2), err.getvalue()
