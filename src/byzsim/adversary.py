@@ -30,7 +30,8 @@ import random
 from typing import Mapping, Optional
 
 from .core import Configuration, check_alpha
-from .simnet import AdversarySpec, AdversaryStrategy, ForgeryError, Scenario
+from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Scenario, field_int,
+                     field_items)
 
 THEOREM_IDS = ("T4.1", "T4.2p1", "T4.2p2", "T4.2p3", "TC.4p1", "TC.4p2", "T5.2")
 
@@ -298,7 +299,7 @@ class _Personas(AdversaryStrategy):
 
 
 def _bit(value) -> int:
-    bit = int(value)
+    bit = field_int(value, "persona input")
     if bit not in (0, 1):
         raise ValueError(f"persona input must be 0 or 1, got {value!r}")
     return bit
@@ -314,13 +315,15 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         return _Silent()
 
     if name == "random_noise":
-        return _Noise(int(p.get("seed", 0)))
+        return _Noise(field_int(p.get("seed", 0), "noise seed"))
 
     if name == "crash_after":
-        inputs = {int(k): _bit(v) for k, v in (p.get("inputs") or {}).items()}
+        inputs = {int(k): _bit(v)
+                  for k, v in field_items(p.get("inputs") or {}, "crash inputs")}
         groups = {"w": {c: (inputs.get(c, 0), None) for c in faulty}}
         emission = [("w", None, set(honest))]
-        return _Personas(groups, [], emission, int(p["round"]), scenario)
+        return _Personas(groups, [], emission, field_int(p["round"], "crash round"),
+                         scenario)
 
     if name == "replay_honest":
         pred = frozenset(p["pred"]) if p.get("pred") is not None else None
@@ -344,9 +347,9 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
             g: {
                 int(node): (_bit(m["input"]),
                             frozenset(m["pred"]) if m["pred"] is not None else None)
-                for node, m in members.items()
+                for node, m in field_items(members, "persona group")
             }
-            for g, members in p["groups"].items()
+            for g, members in field_items(p["groups"], "persona groups")
         }
         overrides = [
             (o["group"], set(o["senders"]), o["from_group"])

@@ -42,11 +42,10 @@ from .harness import (
 from . import adversary
 from .simnet import SCHEMA_VERSION, ForgeryError, Scenario, run_simulation
 
-# What parsing a malformed scenario document or adversary spec can raise:
-# wrong types, missing keys, bad numbers (1/0, Infinity), and an adversary
-# asked to act for an honest node.
-_MALFORMED = (AttributeError, ForgeryError, KeyError, OverflowError, TypeError,
-              ValueError, ZeroDivisionError)
+# What parsing a malformed scenario document or adversary spec raises:
+# missing keys, wrong types, bad values, and an adversary asked to act for
+# an honest node.
+_MALFORMED = (ForgeryError, KeyError, TypeError, ValueError)
 
 
 class UsageError(Exception):

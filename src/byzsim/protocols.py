@@ -276,7 +276,7 @@ class _SignedRelays:
     the per-round chain indexes.
 
     Indexes are cached in the memo of the run's signature ledger, keyed by
-    round, inbox object, group and t, so every node of a run that receives
+    round, inbox object and group, so every node of a run that receives
     the same inbox list shares one. Only the current round's indexes are
     kept. A signer without a ledger gets a private memo.
     """
@@ -298,7 +298,7 @@ class _SignedRelays:
         if indexes is None:
             memo.clear()
             indexes = memo[rnd] = {}
-        key = (id(inbox), self._group, self.t)
+        key = (id(inbox), self._group)
         index = indexes.get(key)
         if index is None:
             index = indexes[key] = _ChainIndex(inbox, rnd, self._group)

@@ -257,26 +257,55 @@ class Scenario:
         elif "global" in pred_j:
             pred = frozenset(pred_j["global"])
         elif "local" in pred_j:
-            pred = {int(k): frozenset(v) for k, v in pred_j["local"].items()}
+            pred = {int(k): frozenset(v)
+                    for k, v in field_items(pred_j["local"], "local prediction")}
         else:
             raise ValueError("prediction must be null or carry 'global'/'local'")
+        n = field_int(doc["n"], "n")
         config = Configuration(
-            n=int(doc["n"]),
+            n=n,
             faulty=frozenset(doc["faulty"]),
-            inputs={int(k): int(v) for k, v in doc["inputs"].items()},
+            inputs={int(k): field_int(v, "input")
+                    for k, v in field_items(doc["inputs"], "inputs")},
         )
+        alpha = doc["alpha"]
+        try:
+            alpha = Fraction(alpha)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"alpha must be a finite fraction, got {alpha!r}") from None
         adv = doc.get("adversary") or {"name": "silent", "params": {}}
+        if not isinstance(adv, Mapping):
+            raise ValueError(f"adversary must be a JSON object, got {adv!r}")
+        params = adv.get("params", {})
+        field_items(params, "adversary params")
         return Scenario(
-            n=int(doc["n"]),
+            n=n,
             mode=doc["mode"],
-            alpha=Fraction(doc["alpha"]),
+            alpha=alpha,
             config=config,
             prediction=pred,
-            adversary=AdversarySpec(adv["name"], adv.get("params", {})),
-            seed=int(doc["seed"]),
+            adversary=AdversarySpec(adv["name"], params),
+            seed=field_int(doc["seed"], "seed"),
             protocol=doc["protocol"],
             params=doc.get("params", {}),
         )
+
+
+def field_int(value, what: str) -> int:
+    """int(value) for a number read from a scenario file; one that is no
+    integer, such as Infinity, raises ValueError naming the field."""
+    try:
+        return int(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def field_items(value, what: str):
+    """The items of a JSON object read from a scenario file; anything
+    else raises ValueError naming the field."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value.items()
 
 
 # ---------------------------------------------------------------------------
@@ -454,51 +483,31 @@ class AdversaryStrategy:
 _RECEIVERS = operator.itemgetter(1)
 
 
-class _Fanout:
-    """Which listeners of a run share an inbox, per set of receiver tuples.
+def _fanout(listeners, keys):
+    """Empty inboxes for one round: (listener -> inbox, receiver tuple ->
+    the inboxes its messages go to, once per naming).
 
     Listeners addressed by exactly the same receiver tuples in a round
     receive exactly the same messages, so they share one inbox list, and
     every listener no message addresses shares one empty list. A listener
-    named twice in a tuple gets each of its messages twice. A round's
-    layout depends only on its set of distinct receiver tuples, so it is
-    worked out once per run for each such set.
+    named twice in a tuple gets each of its messages twice.
     """
-
-    def __init__(self, listeners):
-        self.listeners = listeners
-        self._listening = frozenset(listeners)
-        self._layouts = {}  # receiver tuples -> (inbox count, where, fan-out)
-
-    def inboxes(self, keys: frozenset):
-        """Empty inboxes for one round: (listener -> inbox, receiver tuple ->
-        the inboxes its messages go to, once per naming)."""
-        layout = self._layouts.get(keys)
-        if layout is None:
-            layout = self._layouts[keys] = self._layout(keys)
-        count, where, fanout = layout
-        box = [[] for _ in range(count)].__getitem__
-        return (dict(zip(self.listeners, map(box, where))),
-                {key: list(map(box, groups)) for key, groups in fanout})
-
-    def _layout(self, keys):
-        heard = {}  # listener -> the keys that name it, with repeats
-        for key in keys:
-            for r in key:
-                if r in self._listening:
-                    heard.setdefault(r, []).append(key)
-        groups = {(): 0}  # the keys naming a listener -> its inbox number
-        where = []  # inbox number of each listener
-        fanout = {key: [] for key in keys}
-        for i in self.listeners:
-            sig = tuple(heard.get(i, ()))
-            g = groups.get(sig)
-            if g is None:
-                g = groups[sig] = len(groups)
-                for key in sig:
-                    fanout[key].append(g)
-            where.append(g)
-        return len(groups), where, list(fanout.items())
+    heard = {}  # receiver -> the keys that name it, with repeats
+    for key in keys:
+        for r in key:
+            heard.setdefault(r, []).append(key)
+    shared = {(): []}  # the keys naming a listener -> its inbox
+    targets = {key: [] for key in keys}
+    inboxes = {}
+    for i in listeners:
+        sig = tuple(heard.get(i, ()))
+        box = shared.get(sig)
+        if box is None:
+            box = shared[sig] = []
+            for key in sig:
+                targets[key].append(box)
+        inboxes[i] = box
+    return inboxes, targets
 
 
 def run_simulation(
@@ -532,7 +541,7 @@ def run_simulation(
     logs = {i: [] for i in honest} if record_transcripts else None
     decided_round = {}
     budget = round_budget(sc.n)
-    fanout = _Fanout(sorted(sc.config.honest | adversary.listens))
+    listeners = sorted(sc.config.honest | adversary.listens)
     rnd = 0
     while rnd < budget and len(decided_round) < len(honest):
         rnd += 1
@@ -547,7 +556,7 @@ def run_simulation(
             faulty_msgs.append((sender, tuple(receivers), payload))
         msgs = sorted(honest_msgs + faulty_msgs, key=_BY_SENDER) if faulty_msgs \
             else honest_msgs
-        inboxes, targets = fanout.inboxes(frozenset(map(_RECEIVERS, msgs)))
+        inboxes, targets = _fanout(listeners, frozenset(map(_RECEIVERS, msgs)))
         # Handing out the messages in stable sender order fills every
         # inbox already sorted by sender, ties in emission order.
         for sender, receivers, payload in msgs:

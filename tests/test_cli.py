@@ -104,6 +104,19 @@ _MALFORMED = {
     "string_t": {"protocol": "phase_king", "prediction": None, "params": {"t": "1"}},
     "int_participants": {"protocol": "phase_king", "prediction": None,
                          "params": {"participants": 5}},
+    "infinite_n": {"n": float("inf")},
+    "infinite_input": {"inputs": {"1": float("inf")}},
+    "list_inputs": {"inputs": [0, 1]},
+    "zero_denominator_alpha": {"alpha": "1/0"},
+    "infinite_alpha": {"alpha": float("inf")},
+    "list_adversary": {"adversary": ["silent"]},
+    "list_adversary_params": {"adversary": {"name": "random_noise", "params": [1]}},
+    "infinite_noise_seed": {"adversary": {"name": "random_noise",
+                                          "params": {"seed": float("inf")}}},
+    "infinite_crash_round": {"adversary": {"name": "crash_after",
+                                           "params": {"round": float("inf")}}},
+    "list_persona_groups": {"adversary": {"name": "persona_network",
+                                          "params": {"groups": [1]}}},
 }
 
 
@@ -114,6 +127,16 @@ def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys
     scenario_file.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
     assert "byzsim: error:" in capsys.readouterr().err
+
+
+def test_simulate_bug_while_building_the_run_is_an_internal_error(scenario_file, monkeypatch,
+                                                                   capsys):
+    def broken(spec, scenario):
+        raise AttributeError("a bug, not a bad file")
+
+    monkeypatch.setattr(cli.adversary, "build_strategy", broken)
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 1
+    assert "byzsim: internal error: AttributeError" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
