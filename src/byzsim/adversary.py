@@ -174,11 +174,8 @@ class _Noise(AdversaryStrategy):
         return ("noise", bits >> 2)
 
     def emit(self, rnd, honest_messages):
-        out = []
-        for c, to in self._links:
-            if self.rng.random() < self.SEND_RATE:
-                out.append((c, to, self._payload()))
-        return out
+        draw, payload, rate = self.rng.random, self._payload, self.SEND_RATE
+        return [(c, to, payload()) for c, to in self._links if draw() < rate]
 
 
 class _Personas(AdversaryStrategy):

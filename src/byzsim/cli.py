@@ -115,8 +115,11 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
     without building that document. Every payload string is escaped once,
     with the encoder json.dumps itself uses. A received list equal to the
     previous node's list of the same round is not rendered again: on the
-    n=80 simulate benchmark scenarios that holds for 98% of the lists. The
-    memo keeps one list per round, so memory stays bounded when inboxes differ.
+    n=80 simulate benchmark scenarios that holds for 98% of the lists. Nodes
+    that were handed the same inbox share one received list object
+    (RoundLog.received), which only needs an identity check; the lists are
+    only read here. The memo keeps one list per round, so memory stays
+    bounded when inboxes differ.
     """
     escaped = {}  # payload json -> its JSON string literal
 
@@ -130,7 +133,7 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
 
     def render(r):
         prev = last.get(r.round)
-        if prev is not None and prev[0] == r.received:
+        if prev is not None and (prev[0] is r.received or prev[0] == r.received):
             recv = prev[1]
         else:
             recv = _json_list(

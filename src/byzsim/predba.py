@@ -15,7 +15,8 @@ outside L stay silent, wait out the inner schedule, and adopt any value
 reported by at least |L| - t + 1 members of L (a strict majority of L, so at
 most one value qualifies); failing that they fall back to their own input.
 Everyone decides in the same round: 3t + 1 in nonauth mode, t + 2 in auth
-mode.
+mode. The adopt counts depend only on the inbox and L's members, so nodes
+handed the same inbox list count it once (see simnet.once_per_inbox).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Optional
 
 from .core import check_alpha
 from .protocols import DolevStrongBA, PhaseKing
+from .simnet import once_per_inbox
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,20 @@ def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
 
 
 class _WrapperBase:
-    """Common outer machinery: inner rounds, then one adopt round."""
+    """Common outer machinery: inner rounds, then one adopt round.
 
-    def __init__(self, me: int, input_bit: int, n: int, active_set: ActiveSet):
+    memo is the run's scratch memo (simnet.once_per_inbox), shared with the
+    inner protocol; a wrapper built without one gets a private memo.
+    """
+
+    def __init__(self, me: int, input_bit: int, n: int, active_set: ActiveSet,
+                 memo: Optional[dict] = None):
         self.me = me
         self.input = int(input_bit)
         self.n = n
         self.aset = active_set
-        self.members = set(active_set.members)
+        self.members = frozenset(active_set.members)
+        self._memo = {} if memo is None else memo
         self.active = me in self.members
         self.decision: Optional[int] = None
         self.inner = None  # set by subclass for active nodes
@@ -120,17 +128,7 @@ class _WrapperBase:
         if self.active:
             self.decision = self.inner.decision
             return
-        counts = [0, 0]
-        seen = set()
-        for s, p in inbox:
-            if s in seen or s not in self.members:
-                continue
-            try:
-                if p[0] == "adopt" and p[1] in (0, 1):
-                    seen.add(s)
-                    counts[p[1]] += 1
-            except (TypeError, ValueError, IndexError):
-                continue
+        counts = once_per_inbox(self._memo, rnd, inbox, _adopt_counts, self.members)
         for b in (0, 1):
             if counts[b] >= self.adopt_threshold:
                 self.decision = b
@@ -138,25 +136,44 @@ class _WrapperBase:
         self.decision = self.input
 
 
+def _adopt_counts(inbox, members: frozenset) -> list:
+    """Per-value counts of the first well-formed adopt message per member."""
+    counts = [0, 0]
+    seen = set()
+    for s, p in inbox:
+        if s in seen or s not in members:
+            continue
+        try:
+            if p[0] == "adopt" and p[1] in (0, 1):
+                seen.add(s)
+                counts[p[1]] += 1
+        except (TypeError, ValueError, IndexError):
+            continue
+    return counts
+
+
 class PredBA(_WrapperBase):
     """Prediction-augmented agreement without signatures (phase-king inner)."""
 
-    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int):
+    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int,
+                 memo: Optional[dict] = None):
         aset = build_active_set(prediction, alpha, n, "nonauth")
-        super().__init__(me, input_bit, n, aset)
+        super().__init__(me, input_bit, n, aset, memo)
         t = aset.fault_param
         self.inner_rounds = 3 * t if self.members else 0
         if self.active:
-            self.inner = PhaseKing(me, input_bit, aset.members, t - 1)
+            self.inner = PhaseKing(me, input_bit, aset.members, t - 1, self._memo)
 
 
 class AuthPredBA(_WrapperBase):
     """Prediction-augmented agreement with signatures (signed-broadcast inner)."""
 
-    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int, signer):
+    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int, signer,
+                 memo: Optional[dict] = None):
         aset = build_active_set(prediction, alpha, n, "auth")
-        super().__init__(me, input_bit, n, aset)
+        super().__init__(me, input_bit, n, aset, memo)
         t = aset.fault_param
         self.inner_rounds = (t + 1) if self.members else 0
         if self.active:
-            self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer)
+            self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer,
+                                       self._memo)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .simnet import payload_digest
+from .simnet import once_per_inbox, payload_digest
 
 
 def phase_king_rounds(t: int) -> int:
@@ -47,9 +47,15 @@ class PhaseKing:
     round 3  the phase king broadcasts its value; nodes whose proposal
              support was below m-t adopt the king's value (default 0 when
              the king is silent or garbled)
+
+    Tallies and king lookups depend only on the inbox, the phase, and the
+    group or the king, so they are computed once per inbox list in memo
+    (the run's, see simnet.once_per_inbox) and shared by every instance
+    handed that list. An instance built without a memo gets a private one.
     """
 
-    def __init__(self, me: int, input_bit: int, participants: Sequence, t: int):
+    def __init__(self, me: int, input_bit: int, participants: Sequence, t: int,
+                 memo: Optional[dict] = None):
         self.me = me
         self.participants = tuple(sorted(set(participants)))
         if me not in self.participants:
@@ -64,25 +70,10 @@ class PhaseKing:
         self._propose: Optional[int] = None
         self._support = 0
         self._group = frozenset(self.participants)
+        self._memo = {} if memo is None else memo
 
     def _king(self, phase: int) -> int:
         return self.participants[phase % self.m]
-
-    def _tally(self, inbox, phase: int, word: str):
-        """Per-value counts of the first matching message per group sender."""
-        counts = [0, 0]
-        seen = set()
-        group = self._group
-        for s, p in inbox:
-            if s in seen or s not in group:
-                continue
-            try:
-                if p[0] == "pk" and p[1] == phase and p[2] == word and p[3] in (0, 1):
-                    seen.add(s)
-                    counts[p[3]] += 1
-            except (TypeError, ValueError, IndexError):
-                continue
-        return counts
 
     def outbox(self, rnd: int):
         if rnd > self.rounds:
@@ -103,7 +94,8 @@ class PhaseKing:
             return
         phase, step = divmod(rnd - 1, 3)
         if step == 0:
-            counts = self._tally(inbox, phase, "val")
+            counts = once_per_inbox(self._memo, rnd, inbox, _pk_counts, phase, "val",
+                                    self._group)
             self._propose = None
             for b in (0, 1):
                 if counts[b] >= self.m - self.t:
@@ -111,27 +103,46 @@ class PhaseKing:
                     break
             self._support = 0
         elif step == 1:
-            counts = self._tally(inbox, phase, "prop")
+            counts = once_per_inbox(self._memo, rnd, inbox, _pk_counts, phase, "prop",
+                                    self._group)
             if max(counts) > self.t:
                 self.value = 0 if counts[0] >= counts[1] else 1
             self._support = counts[self.value]
         else:
-            king = self._king(phase)
             if self._support < self.m - self.t:
-                val = 0
-                for s, p in inbox:
-                    if s != king:
-                        continue
-                    try:
-                        if p[0] == "pk" and p[1] == phase and p[2] == "king" \
-                                and p[3] in (0, 1):
-                            val = p[3]
-                            break
-                    except (TypeError, ValueError, IndexError):
-                        continue
-                self.value = val
+                self.value = once_per_inbox(self._memo, rnd, inbox, _king_value, phase,
+                                            self._king(phase))
             if rnd == self.rounds:
                 self.decision = self.value
+
+
+def _pk_counts(inbox, phase: int, word: str, group: frozenset) -> list:
+    """Per-value counts of the first matching message per group sender."""
+    counts = [0, 0]
+    seen = set()
+    for s, p in inbox:
+        if s in seen or s not in group:
+            continue
+        try:
+            if p[0] == "pk" and p[1] == phase and p[2] == word and p[3] in (0, 1):
+                seen.add(s)
+                counts[p[3]] += 1
+        except (TypeError, ValueError, IndexError):
+            continue
+    return counts
+
+
+def _king_value(inbox, phase: int, king: int) -> int:
+    """The value of the king's first well-formed king message, else 0."""
+    for s, p in inbox:
+        if s != king:
+            continue
+        try:
+            if p[0] == "pk" and p[1] == phase and p[2] == "king" and p[3] in (0, 1):
+                return p[3]
+        except (TypeError, ValueError, IndexError):
+            continue
+    return 0
 
 
 class _BroadcastInstance:
@@ -216,7 +227,6 @@ class _ChainIndex:
     """
 
     def __init__(self, inbox, rnd: int, group: frozenset):
-        self.inbox = inbox  # held so its id stays unique while the index is cached
         self.group = group
         self.relays = {}  # sender -> {value: [(position, payload), ...]}
         self._first = {}  # (sender, value) -> (position, payload) or None
@@ -275,13 +285,13 @@ class _SignedRelays:
     """What both signed-broadcast protocols share: the group, the budget and
     the per-round chain indexes.
 
-    Indexes are cached in the memo of the run's signature ledger, keyed by
-    round, inbox object and group, so every node of a run that receives
-    the same inbox list shares one. Only the current round's indexes are
-    kept. A signer without a ledger gets a private memo.
+    Indexes are built once per inbox list and group in memo (the run's, see
+    simnet.once_per_inbox), so every instance of a run that receives the
+    same inbox list shares one. An instance built without a memo gets a
+    private one.
     """
 
-    def __init__(self, me, participants, t, signer):
+    def __init__(self, me, participants, t, signer, memo: Optional[dict] = None):
         if t < 0:
             raise ValueError("budget t must be >= 0")
         self.me = me
@@ -289,27 +299,18 @@ class _SignedRelays:
         self.t = t
         self._group = frozenset(self.participants)
         self._signer = signer
-        ledger = getattr(signer, "ledger", None)
-        self._memo = ledger.memo if ledger is not None else {}
+        self._memo = {} if memo is None else memo
 
     def _index(self, rnd: int, inbox) -> _ChainIndex:
-        memo = self._memo
-        indexes = memo.get(rnd)
-        if indexes is None:
-            memo.clear()
-            indexes = memo[rnd] = {}
-        key = (id(inbox), self._group)
-        index = indexes.get(key)
-        if index is None:
-            index = indexes[key] = _ChainIndex(inbox, rnd, self._group)
-        return index
+        return once_per_inbox(self._memo, rnd, inbox, _ChainIndex, rnd, self._group)
 
 
 class DolevStrongBroadcast(_SignedRelays):
     """Standalone signed broadcast: every node decides the sender's value."""
 
-    def __init__(self, me, sender, value, participants, t, signer):
-        super().__init__(me, participants, t, signer)
+    def __init__(self, me, sender, value, participants, t, signer,
+                 memo: Optional[dict] = None):
+        super().__init__(me, participants, t, signer, memo)
         self.inst = _BroadcastInstance(me, sender, value, signer)
         self.rounds = ds_broadcast_rounds(t)
         self.decision: Optional[int] = None
@@ -339,8 +340,9 @@ class DolevStrongBA(_SignedRelays):
     it; a missing instance outputs 0, as an instance that extracted nothing.
     """
 
-    def __init__(self, me, input_bit, participants, t, signer):
-        super().__init__(me, participants, t, signer)
+    def __init__(self, me, input_bit, participants, t, signer,
+                 memo: Optional[dict] = None):
+        super().__init__(me, participants, t, signer, memo)
         if me not in self.participants:
             raise ValueError(f"node {me} is not among the participants")
         self.rounds = ds_ba_rounds(t)

@@ -33,19 +33,20 @@ def _pred(ctx: NodeCtx):
 def _dolev_strong_broadcast(ctx: NodeCtx):
     group, t = _group(ctx, 2)
     sender = ctx.params.get("sender", group[0])
-    return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
+    return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer,
+                                ctx.memo)
 
 
 # protocol name -> (the mode it runs in, NodeCtx -> instance)
 _PROTOCOLS = {
     "pred_ba": ("nonauth", lambda ctx: PredBA(
-        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n)),
+        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.memo)),
     "auth_pred_ba": ("auth", lambda ctx: AuthPredBA(
-        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.signer)),
+        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.signer, ctx.memo)),
     "phase_king": ("nonauth", lambda ctx: PhaseKing(
-        ctx.node_id, ctx.input, *_group(ctx, 3))),
+        ctx.node_id, ctx.input, *_group(ctx, 3), ctx.memo)),
     "dolev_strong_ba": ("auth", lambda ctx: DolevStrongBA(
-        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer)),
+        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer, ctx.memo)),
     "dolev_strong_broadcast": ("auth", _dolev_strong_broadcast),
 }
 

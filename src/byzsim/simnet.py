@@ -16,8 +16,10 @@ Rounds are numbered from 1. In every round the engine
 Inboxes are read-only. Ids addressed by exactly the same receiver tuples
 in a round get the same messages, so they share one inbox list, and a
 deliver or observe that mutated its inbox would change what other nodes
-receive. Protocols may key per-round caches on the inbox object (see the
-Dolev-Strong chain index in protocols).
+receive. Protocols may cache per-round results on the inbox object in the
+run's scratch memo (NodeCtx.memo, see once_per_inbox): the Dolev-Strong chain
+index, the Phase King tallies and king lookups, and the wrappers' adopt
+counts are computed once per shared inbox.
 
 A run terminates when every honest node has decided, or fails to terminate
 once the round budget 4*(n+2) is exhausted.
@@ -119,10 +121,6 @@ class SignatureLedger:
     def __init__(self):
         self._minted = {}  # (signer, digest) -> token
         self._minted_by_adversary = set()
-        # Per-run scratch space for results that depend only on what the
-        # ledger verifies, such as the signed-broadcast chain indexes in
-        # protocols; it lives and dies with the run.
-        self.memo = {}
 
     @staticmethod
     def _token(signer: int, digest: str) -> str:
@@ -147,15 +145,15 @@ class Signer:
     """A node's signing capability, bound to the run's ledger."""
 
     def __init__(self, ledger: SignatureLedger, node_id: int, *, adversarial: bool = False):
-        self.ledger = ledger
+        self._ledger = ledger
         self.node_id = node_id
         self._adversarial = adversarial
 
     def sign(self, digest: str) -> str:
-        return self.ledger.mint(self.node_id, digest, adversarial=self._adversarial)
+        return self._ledger.mint(self.node_id, digest, adversarial=self._adversarial)
 
     def verify(self, token: str, signer: int, digest: str) -> bool:
-        return self.ledger.verify(token, signer, digest)
+        return self._ledger.verify(token, signer, digest)
 
 
 class _RefusingSigner:
@@ -326,7 +324,9 @@ class Outcome:
 class RoundLog:
     round: int
     sent: list  # (receiver, canonical payload json)
-    received: list  # (sender, canonical payload json)
+    # (sender, canonical payload json). Read-only: nodes handed the same
+    # inbox in a round share one list.
+    received: list
 
 
 @dataclass
@@ -359,8 +359,9 @@ def _log_round(logs, rnd, honest_msgs, inboxes):
     """Append round rnd's RoundLog to logs (honest id -> its RoundLogs).
 
     Each payload object is encoded once, and every entry that carries it
-    shares the string. The memo keys on id(payload): the caller keeps
-    honest_msgs and inboxes alive for the whole call, so no id is reused.
+    shares the string. Nodes handed the same inbox list share one received
+    list. The memos key on id(): the caller keeps honest_msgs and inboxes
+    alive for the whole call, so no id is reused.
     """
     encoded = {}
     sent = {i: [] for i in logs}
@@ -369,13 +370,17 @@ def _log_round(logs, rnd, honest_msgs, inboxes):
         if pj is None:
             pj = encoded[id(payload)] = payload_to_json(payload)
         sent[sender].extend(zip(sorted(receivers), repeat(pj)))
+    heard = {}  # id(inbox) -> its received list
     for i, log in logs.items():
-        received = []
-        for s, p in inboxes[i]:
-            pj = encoded.get(id(p))
-            if pj is None:
-                pj = encoded[id(p)] = payload_to_json(p)
-            received.append((s, pj))
+        box = inboxes[i]
+        received = heard.get(id(box))
+        if received is None:
+            received = heard[id(box)] = []
+            for s, p in box:
+                pj = encoded.get(id(p))
+                if pj is None:
+                    pj = encoded[id(p)] = payload_to_json(p)
+                received.append((s, pj))
         log.append(RoundLog(round=rnd, sent=sent[i], received=received))
 
 
@@ -396,19 +401,42 @@ class NodeCtx:
     prediction: object  # frozenset, or None for bare protocols
     signer: object
     params: Mapping
+    memo: dict  # the run's scratch memo, shared by every instance (once_per_inbox)
+
+
+def once_per_inbox(memo: dict, rnd: int, inbox, fn, *args):
+    """fn(inbox, *args), computed once per inbox list in round rnd of a run.
+
+    memo is the run's scratch memo (NodeCtx.memo). Every instance of a run,
+    honest node or adversary instance, holds the same memo, so instances
+    handed the same list share each result, which they must only read. fn
+    may depend on the inbox's contents and args only. Only the current
+    round's results are kept, and each holds its inbox, so no id is reused
+    while it lives.
+    """
+    results = memo.get(rnd)
+    if results is None:
+        memo.clear()
+        results = memo[rnd] = {}
+    key = (id(inbox), fn, *args)
+    hit = results.get(key)
+    if hit is None:
+        hit = results[key] = (fn(inbox, *args), inbox)
+    return hit[0]
 
 
 def _build_instance(factory: Callable, sc: Scenario, node_id: int, input_bit: int,
-                    prediction, signer):
+                    prediction, signer, memo: dict):
     return factory(NodeCtx(node_id=node_id, n=sc.n, mode=sc.mode, alpha=sc.alpha,
                            input=input_bit, prediction=prediction, signer=signer,
-                           params=sc.params))
+                           params=sc.params, memo=memo))
 
 
 class AdversaryCtx:
     """The adversary's (omniscient) view plus its minting capabilities."""
 
-    def __init__(self, scenario: Scenario, ledger: SignatureLedger, factory: Callable):
+    def __init__(self, scenario: Scenario, ledger: SignatureLedger, factory: Callable,
+                 memo: dict):
         self.scenario = scenario
         self.n = scenario.n
         self.mode = scenario.mode
@@ -416,6 +444,7 @@ class AdversaryCtx:
         self.honest = scenario.config.honest
         self._ledger = ledger
         self._factory = factory
+        self._memo = memo
 
     def derive(self, *parts) -> int:
         """A seed drawn from the scenario's seed and the given parts."""
@@ -443,7 +472,7 @@ class AdversaryCtx:
         else:
             signer = _RefusingSigner(node_id)
         return _build_instance(self._factory, self.scenario, node_id, input_bit,
-                               prediction, signer)
+                               prediction, signer, self._memo)
 
 
 class AdversaryStrategy:
@@ -532,11 +561,12 @@ def run_simulation(
         adversary = build_strategy(scenario.adversary, scenario)
     sc = scenario
     ledger = SignatureLedger()
+    memo = {}
     honest = sorted(sc.config.honest)
     nodes = {i: _build_instance(protocol, sc, i, sc.config.inputs[i],
-                                sc.prediction_for(i), Signer(ledger, i))
+                                sc.prediction_for(i), Signer(ledger, i), memo)
              for i in honest}
-    adversary.begin(AdversaryCtx(sc, ledger, protocol))
+    adversary.begin(AdversaryCtx(sc, ledger, protocol, memo))
 
     logs = {i: [] for i in honest} if record_transcripts else None
     decided_round = {}

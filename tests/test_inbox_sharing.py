@@ -1,19 +1,27 @@
 """Shared inboxes: the engine hands listeners addressed alike one inbox list,
-personas with the same view share one list, and Dolev-Strong nodes share one
-chain index per list. These tests pin what sharing relies on: no deliver or
-observe mutates an inbox, sharing changes no outcome, transcript or minted
-signature, and no chain accepted in round r rests on a signature first
-minted during round r.
+personas with the same view share one list, and every instance of a run
+computes a node-independent result once per list: the Dolev-Strong chain
+index, the Phase King tallies and king lookups, and the wrappers' adopt
+counts. These tests pin what sharing relies on: no deliver or observe
+mutates an inbox, sharing changes no outcome, transcript or minted
+signature, no chain accepted in round r rests on a signature first minted
+during round r, a cached result is keyed on everything node-specific it
+depends on, and no cache outlives its run or its round.
 """
 
+import gc
+import types
 from fractions import Fraction
 
 import pytest
 
 from byzsim import simnet
-from byzsim.adversary import build_strategy, persona_network, random_noise, split_brain
+from byzsim.adversary import (build_strategy, persona_network, random_noise,
+                              replay_honest, split_brain)
 from byzsim.core import Configuration
 from byzsim.harness import LIBRARY, library_names, materialize_adversary
+from byzsim.predba import PredBA
+from byzsim.protocols import PhaseKing
 from byzsim.registry import factory_for
 from byzsim.simnet import Scenario, run_simulation
 
@@ -161,6 +169,11 @@ def _sharing_cases():
     # Honest nodes with different local predictions share inboxes but run
     # Dolev-Strong in different groups.
     local = {i: (P | {1}) if i % 2 else (P | {2, 3}) for i in honest}
+    # Two active sets of size 7 (one adopt round), each leaving out one
+    # honest node (8 and 12), which then count the same adopt inbox
+    # against different members; Phase King groups overlap on 5, 6, 9, 10.
+    l_a, l_b = frozenset({1, 2, 5, 6, 7, 9, 10}), frozenset({1, 3, 5, 6, 9, 10, 11})
+    local_nonauth = {i: l_a if i <= 8 else l_b for i in honest}
     yield "random_noise", _scenario("auth", "auth_pred_ba", random_noise(3), n, faulty)
     yield "split_brain", _scenario("auth", "auth_pred_ba",
                                    split_brain((honest[:4], honest[4:]), 0, 1), n, faulty)
@@ -173,7 +186,14 @@ def _sharing_cases():
                                      prediction=P | {1, 2})
     yield "local_predictions", _scenario("auth", "auth_pred_ba", "replay_one", n, faulty,
                                          prediction=local)
+    yield "local_predictions_nonauth", _scenario(
+        "nonauth", "pred_ba", replay_honest(1), n, faulty, prediction=local_nonauth)
+    yield "persona_views_nonauth", _scenario("nonauth", "pred_ba", mixed, n, faulty,
+                                             prediction=P | {1, 2})
     for name in LIBRARY:
+        yield f"pred_ba-{name}", _scenario("nonauth", "pred_ba", name, n, faulty,
+                                           prediction=P)
+        yield f"phase_king-{name}", _scenario("nonauth", "phase_king", name, n, (1, 2, 12))
         yield f"dolev_strong_ba-{name}", _scenario("auth", "dolev_strong_ba", name, n, faulty)
         yield f"dolev_strong_broadcast-{name}", _scenario(
             "auth", "dolev_strong_broadcast", name, n, (2, 3, 4, 12))
@@ -249,3 +269,114 @@ def test_no_chain_rests_on_a_signature_minted_the_same_round(monkeypatch, sc):
     assert checked
     same_round = [(rnd, key) for rnd, key in checked if minted_in.get(key) == rnd]
     assert same_round == []
+
+
+# ---------------------------------------------------------------------------
+# What the run memo may share
+# ---------------------------------------------------------------------------
+
+
+def _pk(me, participants, t, memo=None):
+    return PhaseKing(me, 0, participants, t, memo)
+
+
+def _state(inst):
+    return {k: v for k, v in vars(inst).items() if k != "_memo"}
+
+
+def test_phase_king_groups_handed_one_list_count_it_each_their_way():
+    # Round 1: the seven-member group sees a proposal (5 of 7 >= m - t), the
+    # four-member group does not (2 of 4 < m - t), from the same list.
+    val = [(s, ("pk", 0, "val", 0 if s <= 2 else 1)) for s in range(1, 8)]
+    # Round 3: kings 1 and 2 (the lowest participants) sent different values.
+    king = [(1, ("pk", 0, "king", 1)), (2, ("pk", 0, "king", 0))]
+    for order in ((1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7)), \
+            ((1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5), (1, 2, 3, 4)):
+        memo = {}
+        shared = [_pk(2, group, (len(group) - 1) // 3, memo) for group in order]
+        fresh = [_pk(2, group, (len(group) - 1) // 3) for group in order]
+        for rnd, inbox in ((1, val), (2, []), (3, king)):
+            for a, b in zip(shared, fresh):
+                a.deliver(rnd, inbox)
+                b.deliver(rnd, list(inbox))
+                assert _state(a) == _state(b), (rnd, a.participants)
+        assert [a._propose for a in shared] != [None] * 3
+        assert len({a.value for a in shared}) == 2
+
+
+def test_wrappers_with_other_active_sets_count_one_adopt_list_each_their_way():
+    # Two active sets of five (t = 2, adopt round 7, threshold 4); node 10
+    # is outside both. Members 1-4 report 1, members 5-8 report 0.
+    alpha, n = Fraction(3, 5), 10
+    inbox = [(s, ("adopt", 1 if s <= 4 else 0)) for s in range(1, 9)]
+    for order in (({1, 2, 3, 4, 5}, {4, 5, 6, 7, 8}), ({4, 5, 6, 7, 8}, {1, 2, 3, 4, 5})):
+        memo = {}
+        shared = [PredBA(10, 1, pred, alpha, n, memo) for pred in order]
+        fresh = [PredBA(10, 1, pred, alpha, n) for pred in order]
+        for a, b in zip(shared, fresh):
+            assert not a.active and a.adopt_round == 7
+            a.deliver(7, inbox)
+            b.deliver(7, list(inbox))
+            assert a.decision == b.decision
+        assert {a.decision for a in shared} == {0, 1}
+
+
+def _pooled_run(sc, pool):
+    """run_simulation where every distinct inbox list of a round is copied
+    into a list object taken from pool, so the same objects come back with
+    other contents in later rounds and, sharing pool, in later runs.
+    Instances handed one engine list still share one pooled list."""
+    round_of = {"rnd": None, "slots": {}}
+
+    def pooled(deliver):
+        def wrapped(rnd, inbox):
+            if round_of["rnd"] != rnd:
+                round_of.update(rnd=rnd, slots={})
+            slots = round_of["slots"]
+            box = slots.get(id(inbox))
+            if box is None:
+                if len(slots) == len(pool):
+                    pool.append([])
+                box = slots[id(inbox)] = pool[len(slots)]
+                box[:] = inbox
+            deliver(rnd, box)
+        return wrapped
+
+    return _wrapped_run(sc, pooled)
+
+
+@pytest.mark.parametrize("name", ["local_predictions_nonauth", "pred_ba-noise",
+                                  "phase_king-split_brain", "local_predictions",
+                                  "dolev_strong_ba-replay_one"])
+def test_list_objects_reused_in_later_rounds_and_runs_are_counted_again(name):
+    sc = _SHARING[name]
+    other = Scenario(n=sc.n, mode=sc.mode, alpha=sc.alpha,
+                     config=Configuration(sc.n, sc.config.faulty,
+                                          {i: 1 - b for i, b in sc.config.inputs.items()}),
+                     prediction=sc.prediction, adversary=sc.adversary, seed=sc.seed + 1,
+                     protocol=sc.protocol)
+    pool = []
+    for scenario in (sc, other, sc):
+        outcome, transcripts = _pooled_run(scenario, pool)
+        assert (outcome, transcripts) == run_simulation(scenario)
+    assert pool
+
+
+def test_no_cache_outlives_its_run():
+    # Every inbox handed to an honest node or a persona is referenced by
+    # nothing but this test once the run is over.
+    for sc in (_SHARING["split_brain_nonauth"], _SHARING["persona_views"]):
+        held = {}
+
+        def holding(deliver):
+            def wrapped(rnd, inbox):
+                held[id(inbox)] = inbox
+                deliver(rnd, inbox)
+            return wrapped
+
+        _wrapped_run(sc, holding)
+        gc.collect()  # the wrapped delivers tie each instance into a cycle
+        assert len(held) > sc.n
+        for box in held.values():
+            assert [r for r in gc.get_referrers(box)
+                    if r is not held and not isinstance(r, types.FrameType)] == []
