@@ -30,8 +30,8 @@ import random
 from typing import Mapping, Optional
 
 from .core import Configuration, check_alpha
-from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Scenario, field_int,
-                     field_items)
+from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Inbox, Scenario,
+                     field_int, field_items)
 
 THEOREM_IDS = ("T4.1", "T4.2p1", "T4.2p2", "T4.2p3", "TC.4p1", "TC.4p2", "T5.2")
 
@@ -284,7 +284,7 @@ class _Personas(AdversaryStrategy):
             inbox = views.get(key)
             if inbox is None:
                 fed_ids, fed = feed[g]
-                inbox = [m for m in box if m[0] not in fed_ids]
+                inbox = Inbox(m for m in box if m[0] not in fed_ids)
                 for s, src in fed:
                     for addressed, payload in out[src]:
                         if i in addressed:

@@ -32,9 +32,6 @@ from typing import Mapping, Optional, Union
 
 MODES = ("nonauth", "auth")
 
-GlobalPrediction = frozenset
-LocalPrediction = Mapping  # id -> frozenset of ids
-
 
 def as_alpha(alpha: Union[Fraction, float, int, str]) -> Fraction:
     """Normalize a trust parameter to an exact Fraction.

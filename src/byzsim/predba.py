@@ -16,7 +16,7 @@ reported by at least |L| - t + 1 members of L (a strict majority of L, so at
 most one value qualifies); failing that they fall back to their own input.
 Everyone decides in the same round: 3t + 1 in nonauth mode, t + 2 in auth
 mode. The adopt counts depend only on the inbox and L's members, so nodes
-handed the same inbox list count it once (see simnet.once_per_inbox).
+handed the same inbox count it once (see simnet.once_per_inbox).
 """
 
 from __future__ import annotations
@@ -83,20 +83,14 @@ def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
 
 
 class _WrapperBase:
-    """Common outer machinery: inner rounds, then one adopt round.
+    """Common outer machinery: inner rounds, then one adopt round."""
 
-    memo is the run's scratch memo (simnet.once_per_inbox), shared with the
-    inner protocol; a wrapper built without one gets a private memo.
-    """
-
-    def __init__(self, me: int, input_bit: int, n: int, active_set: ActiveSet,
-                 memo: Optional[dict] = None):
+    def __init__(self, me: int, input_bit: int, n: int, active_set: ActiveSet):
         self.me = me
         self.input = int(input_bit)
         self.n = n
         self.aset = active_set
         self.members = frozenset(active_set.members)
-        self._memo = {} if memo is None else memo
         self.active = me in self.members
         self.decision: Optional[int] = None
         self.inner = None  # set by subclass for active nodes
@@ -128,7 +122,7 @@ class _WrapperBase:
         if self.active:
             self.decision = self.inner.decision
             return
-        counts = once_per_inbox(self._memo, rnd, inbox, _adopt_counts, self.members)
+        counts = once_per_inbox(inbox, _adopt_counts, self.members)
         for b in (0, 1):
             if counts[b] >= self.adopt_threshold:
                 self.decision = b
@@ -155,25 +149,22 @@ def _adopt_counts(inbox, members: frozenset) -> list:
 class PredBA(_WrapperBase):
     """Prediction-augmented agreement without signatures (phase-king inner)."""
 
-    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int,
-                 memo: Optional[dict] = None):
+    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int):
         aset = build_active_set(prediction, alpha, n, "nonauth")
-        super().__init__(me, input_bit, n, aset, memo)
+        super().__init__(me, input_bit, n, aset)
         t = aset.fault_param
         self.inner_rounds = 3 * t if self.members else 0
         if self.active:
-            self.inner = PhaseKing(me, input_bit, aset.members, t - 1, self._memo)
+            self.inner = PhaseKing(me, input_bit, aset.members, t - 1)
 
 
 class AuthPredBA(_WrapperBase):
     """Prediction-augmented agreement with signatures (signed-broadcast inner)."""
 
-    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int, signer,
-                 memo: Optional[dict] = None):
+    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int, signer):
         aset = build_active_set(prediction, alpha, n, "auth")
-        super().__init__(me, input_bit, n, aset, memo)
+        super().__init__(me, input_bit, n, aset)
         t = aset.fault_param
         self.inner_rounds = (t + 1) if self.members else 0
         if self.active:
-            self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer,
-                                       self._memo)
+            self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer)

@@ -49,13 +49,11 @@ class PhaseKing:
              the king is silent or garbled)
 
     Tallies and king lookups depend only on the inbox, the phase, and the
-    group or the king, so they are computed once per inbox list in memo
-    (the run's, see simnet.once_per_inbox) and shared by every instance
-    handed that list. An instance built without a memo gets a private one.
+    group or the king, so they are computed once per inbox and shared by
+    every instance handed it (see simnet.once_per_inbox).
     """
 
-    def __init__(self, me: int, input_bit: int, participants: Sequence, t: int,
-                 memo: Optional[dict] = None):
+    def __init__(self, me: int, input_bit: int, participants: Sequence, t: int):
         self.me = me
         self.participants = tuple(sorted(set(participants)))
         if me not in self.participants:
@@ -70,7 +68,6 @@ class PhaseKing:
         self._propose: Optional[int] = None
         self._support = 0
         self._group = frozenset(self.participants)
-        self._memo = {} if memo is None else memo
 
     def _king(self, phase: int) -> int:
         return self.participants[phase % self.m]
@@ -94,8 +91,7 @@ class PhaseKing:
             return
         phase, step = divmod(rnd - 1, 3)
         if step == 0:
-            counts = once_per_inbox(self._memo, rnd, inbox, _pk_counts, phase, "val",
-                                    self._group)
+            counts = once_per_inbox(inbox, _pk_counts, phase, "val", self._group)
             self._propose = None
             for b in (0, 1):
                 if counts[b] >= self.m - self.t:
@@ -103,15 +99,13 @@ class PhaseKing:
                     break
             self._support = 0
         elif step == 1:
-            counts = once_per_inbox(self._memo, rnd, inbox, _pk_counts, phase, "prop",
-                                    self._group)
+            counts = once_per_inbox(inbox, _pk_counts, phase, "prop", self._group)
             if max(counts) > self.t:
                 self.value = 0 if counts[0] >= counts[1] else 1
             self._support = counts[self.value]
         else:
             if self._support < self.m - self.t:
-                self.value = once_per_inbox(self._memo, rnd, inbox, _king_value, phase,
-                                            self._king(phase))
+                self.value = once_per_inbox(inbox, _king_value, phase, self._king(phase))
             if rnd == self.rounds:
                 self.decision = self.value
 
@@ -285,13 +279,12 @@ class _SignedRelays:
     """What both signed-broadcast protocols share: the group, the budget and
     the per-round chain indexes.
 
-    Indexes are built once per inbox list and group in memo (the run's, see
-    simnet.once_per_inbox), so every instance of a run that receives the
-    same inbox list shares one. An instance built without a memo gets a
-    private one.
+    Indexes are built once per inbox, round and group (see
+    simnet.once_per_inbox), so every instance handed the same inbox shares
+    one.
     """
 
-    def __init__(self, me, participants, t, signer, memo: Optional[dict] = None):
+    def __init__(self, me, participants, t, signer):
         if t < 0:
             raise ValueError("budget t must be >= 0")
         self.me = me
@@ -299,18 +292,16 @@ class _SignedRelays:
         self.t = t
         self._group = frozenset(self.participants)
         self._signer = signer
-        self._memo = {} if memo is None else memo
 
     def _index(self, rnd: int, inbox) -> _ChainIndex:
-        return once_per_inbox(self._memo, rnd, inbox, _ChainIndex, rnd, self._group)
+        return once_per_inbox(inbox, _ChainIndex, rnd, self._group)
 
 
 class DolevStrongBroadcast(_SignedRelays):
     """Standalone signed broadcast: every node decides the sender's value."""
 
-    def __init__(self, me, sender, value, participants, t, signer,
-                 memo: Optional[dict] = None):
-        super().__init__(me, participants, t, signer, memo)
+    def __init__(self, me, sender, value, participants, t, signer):
+        super().__init__(me, participants, t, signer)
         self.inst = _BroadcastInstance(me, sender, value, signer)
         self.rounds = ds_broadcast_rounds(t)
         self.decision: Optional[int] = None
@@ -340,9 +331,8 @@ class DolevStrongBA(_SignedRelays):
     it; a missing instance outputs 0, as an instance that extracted nothing.
     """
 
-    def __init__(self, me, input_bit, participants, t, signer,
-                 memo: Optional[dict] = None):
-        super().__init__(me, participants, t, signer, memo)
+    def __init__(self, me, input_bit, participants, t, signer):
+        super().__init__(me, participants, t, signer)
         if me not in self.participants:
             raise ValueError(f"node {me} is not among the participants")
         self.rounds = ds_ba_rounds(t)

@@ -26,27 +26,22 @@ def _group(ctx: NodeCtx, resilience: int):
     return group, t
 
 
-def _pred(ctx: NodeCtx):
-    return ctx.prediction if ctx.prediction is not None else frozenset()
-
-
 def _dolev_strong_broadcast(ctx: NodeCtx):
     group, t = _group(ctx, 2)
     sender = ctx.params.get("sender", group[0])
-    return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer,
-                                ctx.memo)
+    return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
 
 
 # protocol name -> (the mode it runs in, NodeCtx -> instance)
 _PROTOCOLS = {
     "pred_ba": ("nonauth", lambda ctx: PredBA(
-        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.memo)),
+        ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n)),
     "auth_pred_ba": ("auth", lambda ctx: AuthPredBA(
-        ctx.node_id, ctx.input, _pred(ctx), ctx.alpha, ctx.n, ctx.signer, ctx.memo)),
+        ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n, ctx.signer)),
     "phase_king": ("nonauth", lambda ctx: PhaseKing(
-        ctx.node_id, ctx.input, *_group(ctx, 3), ctx.memo)),
+        ctx.node_id, ctx.input, *_group(ctx, 3))),
     "dolev_strong_ba": ("auth", lambda ctx: DolevStrongBA(
-        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer, ctx.memo)),
+        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer)),
     "dolev_strong_broadcast": ("auth", _dolev_strong_broadcast),
 }
 

@@ -16,10 +16,10 @@ Rounds are numbered from 1. In every round the engine
 Inboxes are read-only. Ids addressed by exactly the same receiver tuples
 in a round get the same messages, so they share one inbox list, and a
 deliver or observe that mutated its inbox would change what other nodes
-receive. Protocols may cache per-round results on the inbox object in the
-run's scratch memo (NodeCtx.memo, see once_per_inbox): the Dolev-Strong chain
-index, the Phase King tallies and king lookups, and the wrappers' adopt
-counts are computed once per shared inbox.
+receive. Every inbox handed out is an Inbox, which carries the results
+computed from it (see once_per_inbox): the Dolev-Strong chain index, the
+Phase King tallies and king lookups, and the wrappers' adopt counts are
+computed once per shared inbox and live and die with it.
 
 A run terminates when every honest node has decided, or fails to terminate
 once the round budget 4*(n+2) is exhausted.
@@ -401,42 +401,44 @@ class NodeCtx:
     prediction: object  # frozenset, or None for bare protocols
     signer: object
     params: Mapping
-    memo: dict  # the run's scratch memo, shared by every instance (once_per_inbox)
 
 
-def once_per_inbox(memo: dict, rnd: int, inbox, fn, *args):
-    """fn(inbox, *args), computed once per inbox list in round rnd of a run.
+class Inbox(list):
+    """One round's (sender, payload) list as the engine or a persona view
+    hands it out, with the results once_per_inbox computed from it."""
 
-    memo is the run's scratch memo (NodeCtx.memo). Every instance of a run,
-    honest node or adversary instance, holds the same memo, so instances
-    handed the same list share each result, which they must only read. fn
-    may depend on the inbox's contents and args only. Only the current
-    round's results are kept, and each holds its inbox, so no id is reused
-    while it lives.
+    results = None  # (fn, *args) -> fn(inbox, *args), made on first use
+
+
+def once_per_inbox(inbox, fn, *args):
+    """fn(inbox, *args), computed once per Inbox and kept on it.
+
+    Instances handed the same Inbox share each result, which they must only
+    read; fn may depend on the inbox's contents and args only. A plain list
+    shares nothing, so fn runs on every call.
     """
-    results = memo.get(rnd)
+    if not isinstance(inbox, Inbox):
+        return fn(inbox, *args)
+    results = inbox.results
     if results is None:
-        memo.clear()
-        results = memo[rnd] = {}
-    key = (id(inbox), fn, *args)
-    hit = results.get(key)
-    if hit is None:
-        hit = results[key] = (fn(inbox, *args), inbox)
-    return hit[0]
+        results = inbox.results = {}
+    key = (fn, *args)
+    if key not in results:
+        results[key] = fn(inbox, *args)
+    return results[key]
 
 
 def _build_instance(factory: Callable, sc: Scenario, node_id: int, input_bit: int,
-                    prediction, signer, memo: dict):
+                    prediction, signer):
     return factory(NodeCtx(node_id=node_id, n=sc.n, mode=sc.mode, alpha=sc.alpha,
                            input=input_bit, prediction=prediction, signer=signer,
-                           params=sc.params, memo=memo))
+                           params=sc.params))
 
 
 class AdversaryCtx:
     """The adversary's (omniscient) view plus its minting capabilities."""
 
-    def __init__(self, scenario: Scenario, ledger: SignatureLedger, factory: Callable,
-                 memo: dict):
+    def __init__(self, scenario: Scenario, ledger: SignatureLedger, factory: Callable):
         self.scenario = scenario
         self.n = scenario.n
         self.mode = scenario.mode
@@ -444,7 +446,6 @@ class AdversaryCtx:
         self.honest = scenario.config.honest
         self._ledger = ledger
         self._factory = factory
-        self._memo = memo
 
     def derive(self, *parts) -> int:
         """A seed drawn from the scenario's seed and the given parts."""
@@ -472,7 +473,7 @@ class AdversaryCtx:
         else:
             signer = _RefusingSigner(node_id)
         return _build_instance(self._factory, self.scenario, node_id, input_bit,
-                               prediction, signer, self._memo)
+                               prediction, signer)
 
 
 class AdversaryStrategy:
@@ -525,14 +526,14 @@ def _fanout(listeners, keys):
     for key in keys:
         for r in key:
             heard.setdefault(r, []).append(key)
-    shared = {(): []}  # the keys naming a listener -> its inbox
+    shared = {(): Inbox()}  # the keys naming a listener -> its inbox
     targets = {key: [] for key in keys}
     inboxes = {}
     for i in listeners:
         sig = tuple(heard.get(i, ()))
         box = shared.get(sig)
         if box is None:
-            box = shared[sig] = []
+            box = shared[sig] = Inbox()
             for key in sig:
                 targets[key].append(box)
         inboxes[i] = box
@@ -561,12 +562,11 @@ def run_simulation(
         adversary = build_strategy(scenario.adversary, scenario)
     sc = scenario
     ledger = SignatureLedger()
-    memo = {}
     honest = sorted(sc.config.honest)
     nodes = {i: _build_instance(protocol, sc, i, sc.config.inputs[i],
-                                sc.prediction_for(i), Signer(ledger, i), memo)
+                                sc.prediction_for(i), Signer(ledger, i))
              for i in honest}
-    adversary.begin(AdversaryCtx(sc, ledger, protocol, memo))
+    adversary.begin(AdversaryCtx(sc, ledger, protocol))
 
     logs = {i: [] for i in honest} if record_transcripts else None
     decided_round = {}

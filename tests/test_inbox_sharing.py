@@ -11,11 +11,13 @@ depends on, and no cache outlives its run or its round.
 
 import gc
 import types
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from byzsim import simnet
+from byzsim import predba, protocols, simnet
 from byzsim.adversary import (build_strategy, persona_network, random_noise,
                               replay_honest, split_brain)
 from byzsim.core import Configuration
@@ -23,7 +25,7 @@ from byzsim.harness import LIBRARY, library_names, materialize_adversary
 from byzsim.predba import PredBA
 from byzsim.protocols import PhaseKing
 from byzsim.registry import factory_for
-from byzsim.simnet import Scenario, run_simulation
+from byzsim.simnet import Inbox, Scenario, run_simulation
 
 _PROTOCOLS = {"nonauth": ("pred_ba", "phase_king"),
               "auth": ("auth_pred_ba", "dolev_strong_ba", "dolev_strong_broadcast")}
@@ -272,34 +274,30 @@ def test_no_chain_rests_on_a_signature_minted_the_same_round(monkeypatch, sc):
 
 
 # ---------------------------------------------------------------------------
-# What the run memo may share
+# What an inbox may share
 # ---------------------------------------------------------------------------
 
 
-def _pk(me, participants, t, memo=None):
-    return PhaseKing(me, 0, participants, t, memo)
-
-
-def _state(inst):
-    return {k: v for k, v in vars(inst).items() if k != "_memo"}
+def _pk(me, participants, t):
+    return PhaseKing(me, 0, participants, t)
 
 
 def test_phase_king_groups_handed_one_list_count_it_each_their_way():
-    # Round 1: the seven-member group sees a proposal (5 of 7 >= m - t), the
-    # four-member group does not (2 of 4 < m - t), from the same list.
-    val = [(s, ("pk", 0, "val", 0 if s <= 2 else 1)) for s in range(1, 8)]
-    # Round 3: kings 1 and 2 (the lowest participants) sent different values.
-    king = [(1, ("pk", 0, "king", 1)), (2, ("pk", 0, "king", 0))]
     for order in ((1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7)), \
             ((1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5), (1, 2, 3, 4)):
-        memo = {}
-        shared = [_pk(2, group, (len(group) - 1) // 3, memo) for group in order]
+        # Round 1: the seven-member group sees a proposal (5 of 7 >= m - t),
+        # the four-member group does not (2 of 4 < m - t), from the same list.
+        val = Inbox((s, ("pk", 0, "val", 0 if s <= 2 else 1)) for s in range(1, 8))
+        # Round 3: kings 1 and 2 (the lowest participants) sent different values.
+        king = Inbox([(1, ("pk", 0, "king", 1)), (2, ("pk", 0, "king", 0))])
+        shared = [_pk(2, group, (len(group) - 1) // 3) for group in order]
         fresh = [_pk(2, group, (len(group) - 1) // 3) for group in order]
-        for rnd, inbox in ((1, val), (2, []), (3, king)):
+        for rnd, inbox in ((1, val), (2, Inbox()), (3, king)):
             for a, b in zip(shared, fresh):
                 a.deliver(rnd, inbox)
                 b.deliver(rnd, list(inbox))
-                assert _state(a) == _state(b), (rnd, a.participants)
+                assert vars(a) == vars(b), (rnd, a.participants)
+        assert len(val.results) == 3  # one tally per group
         assert [a._propose for a in shared] != [None] * 3
         assert len({a.value for a in shared}) == 2
 
@@ -308,16 +306,16 @@ def test_wrappers_with_other_active_sets_count_one_adopt_list_each_their_way():
     # Two active sets of five (t = 2, adopt round 7, threshold 4); node 10
     # is outside both. Members 1-4 report 1, members 5-8 report 0.
     alpha, n = Fraction(3, 5), 10
-    inbox = [(s, ("adopt", 1 if s <= 4 else 0)) for s in range(1, 9)]
     for order in (({1, 2, 3, 4, 5}, {4, 5, 6, 7, 8}), ({4, 5, 6, 7, 8}, {1, 2, 3, 4, 5})):
-        memo = {}
-        shared = [PredBA(10, 1, pred, alpha, n, memo) for pred in order]
+        inbox = Inbox((s, ("adopt", 1 if s <= 4 else 0)) for s in range(1, 9))
+        shared = [PredBA(10, 1, pred, alpha, n) for pred in order]
         fresh = [PredBA(10, 1, pred, alpha, n) for pred in order]
         for a, b in zip(shared, fresh):
             assert not a.active and a.adopt_round == 7
             a.deliver(7, inbox)
             b.deliver(7, list(inbox))
             assert a.decision == b.decision
+        assert len(inbox.results) == 2  # one count per active set
         assert {a.decision for a in shared} == {0, 1}
 
 
@@ -380,3 +378,94 @@ def test_no_cache_outlives_its_run():
         for box in held.values():
             assert [r for r in gc.get_referrers(box)
                     if r is not held and not isinstance(r, types.FrameType)] == []
+
+
+# ---------------------------------------------------------------------------
+# That sharing happens, and that results die with their inbox
+# ---------------------------------------------------------------------------
+
+
+def _counted_run(monkeypatch, sc):
+    """Run sc; returns (asked, computed): how often honest nodes and persona
+    instances asked once_per_inbox for a tally, chain index or adopt count,
+    and how often one was computed, keyed by (who, function name)."""
+    asked, computed = Counter(), Counter()
+    who = [None]
+    names = {}
+    for module, name in ((protocols, "_pk_counts"), (protocols, "_ChainIndex"),
+                         (predba, "_adopt_counts")):
+        def counting(inbox, *args, fn=getattr(module, name), name=name):
+            computed[who[0], name] += 1
+            return fn(inbox, *args)
+        names[counting] = name
+        monkeypatch.setattr(module, name, counting)
+
+    def asking(inbox, fn, *args):
+        if fn in names:
+            asked[who[0], names[fn]] += 1
+        return simnet.once_per_inbox(inbox, fn, *args)
+
+    monkeypatch.setattr(protocols, "once_per_inbox", asking)
+    monkeypatch.setattr(predba, "once_per_inbox", asking)
+    make = factory_for(sc)
+
+    def factory(ctx):
+        inst = make(ctx)
+        deliver = inst.deliver
+        kind = ("honest" if ctx.node_id in sc.config.honest
+                and type(ctx.signer) is simnet.Signer else "persona")
+
+        def wrapped(rnd, inbox):
+            who[0] = kind
+            deliver(rnd, inbox)
+        inst.deliver = wrapped
+        return inst
+
+    run_simulation(sc, protocol=factory)
+    return asked, computed
+
+
+def test_honest_nodes_and_personas_compute_each_result_once_per_shared_inbox(
+        monkeypatch):
+    # The equivalence tests above pass with sharing off too; this one fails
+    # if the engine or the persona views hand out plain lists.
+    kinds = set()
+    for name in ("split_brain", "split_brain_nonauth", "pred_ba-split_brain"):
+        with monkeypatch.context() as patch:
+            asked, computed = _counted_run(patch, _SHARING[name])
+        for key, calls in asked.items():
+            assert computed[key] * 3 < calls, (name, key, computed[key])
+        kinds |= set(asked)
+    assert kinds == {("honest", "_pk_counts"), ("honest", "_ChainIndex"),
+                     ("persona", "_pk_counts"), ("persona", "_ChainIndex"),
+                     ("persona", "_adopt_counts")}
+
+
+@pytest.mark.parametrize("name", ["split_brain", "split_brain_nonauth", "persona_views",
+                                  "pred_ba-split_brain"])
+def test_every_inbox_dies_with_its_run(name):
+    # Without the cycle collector, an inbox outlives the run if anything it
+    # reaches, such as a result kept on it, refers back to it.
+    refs, with_results = [], []
+
+    def recording(deliver):
+        def wrapped(rnd, inbox):
+            deliver(rnd, inbox)
+            refs.append(weakref.ref(inbox))
+            with_results.append(inbox.results is not None)
+        return wrapped
+
+    def recording_observe(observe):
+        def wrapped(rnd, inboxes):
+            refs.extend(weakref.ref(box) for box in inboxes.values())
+            observe(rnd, inboxes)
+        return wrapped
+
+    gc.disable()
+    try:
+        _wrapped_run(_SHARING[name], recording, recording_observe)
+        assert any(with_results)
+        assert sum(ref() is not None for ref in refs) == 0
+    finally:
+        gc.enable()
+        gc.collect()  # the wrapped delivers tie each instance into a cycle
