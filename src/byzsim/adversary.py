@@ -383,6 +383,26 @@ def _scenario(mode, alpha, n, faulty, inputs, prediction, adversary, protocol):
     )
 
 
+def replay_triple(mode, alpha, n, A, B, prediction, protocol, pred_a=None, pred_b=None):
+    """Three runs in which replayed personas mirror one honest side exactly.
+
+    1. B faulty, its personas replaying input 1 (prediction pred_b) to A,
+       whose inputs are 0;
+    2. A faulty, its personas replaying input 0 (prediction pred_a) to B,
+       whose inputs are 1;
+    3. nobody faulty, A on input 0 and B on input 1.
+
+    A's view of 1 and 3 is the same, and so is B's of 2 and 3. A pred of
+    None lets each persona use the prediction the scenario hands its id.
+    """
+    in_a, in_b = {i: 0 for i in A}, {i: 1 for i in B}
+    return [
+        _scenario(mode, alpha, n, B, in_a, prediction, replay_honest(1, pred_b), protocol),
+        _scenario(mode, alpha, n, A, in_b, prediction, replay_honest(0, pred_a), protocol),
+        _scenario(mode, alpha, n, (), in_a | in_b, prediction, silent(), protocol),
+    ]
+
+
 def _need(cond: bool, what: str, example: str):
     if not cond:
         raise ValueError(f"infeasible parameters: need {what} (e.g. {example})")
@@ -480,14 +500,7 @@ def _tc4p1(alpha, n):
     B = _block(2 * g, n)
     _need(len(B) >= 1, "alpha*n > (1-alpha)*n - 1", "alpha=3/4, n=16")
     P = frozenset(A + C + [x])
-    rest = B + C + [x]
-    cfg1 = _scenario("auth", a, n, rest, {i: 0 for i in A}, P,
-                     replay_honest(1, P), "auth_pred_ba")
-    cfg2 = _scenario("auth", a, n, A, {i: 1 for i in rest}, P,
-                     replay_honest(0, P), "auth_pred_ba")
-    cfg3 = _scenario("auth", a, n, [], {i: 0 for i in A} | {i: 1 for i in rest}, P,
-                     silent(), "auth_pred_ba")
-    return [cfg1, cfg2, cfg3]
+    return replay_triple("auth", a, n, A, B + C + [x], P, "auth_pred_ba", P, P)
 
 
 def _tc4p2(alpha, n):
@@ -518,13 +531,7 @@ def _t52(alpha, n):
     A, B = _block(1, half), _block(half + 1, n)
     p0, p1 = frozenset(A), frozenset(B)
     local = {i: p0 for i in A} | {i: p1 for i in B}
-    cfg1 = _scenario("nonauth", a, n, B, {i: 0 for i in A}, local,
-                     replay_honest(1, p1), "pred_ba")
-    cfg2 = _scenario("nonauth", a, n, A, {i: 1 for i in B}, local,
-                     replay_honest(0, p0), "pred_ba")
-    cfg3 = _scenario("nonauth", a, n, [], {i: 0 for i in A} | {i: 1 for i in B},
-                     local, silent(), "pred_ba")
-    return [cfg1, cfg2, cfg3]
+    return replay_triple("nonauth", a, n, A, B, local, "pred_ba", p0, p1)
 
 
 _BUILDERS = {

@@ -108,10 +108,6 @@ class Configuration:
     def honest(self) -> frozenset:
         return frozenset(range(1, self.n + 1)) - self.faulty
 
-    @property
-    def f(self) -> int:
-        return len(self.faulty)
-
 
 @dataclass(frozen=True)
 class ErrorBreakdown:

@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import random
 import time
@@ -32,6 +33,7 @@ from .adversary import (
     crash_after,
     random_noise,
     replay_honest,
+    replay_triple,
     silent,
     split_brain,
 )
@@ -47,7 +49,7 @@ from .core import (
     theoretical_impossibility,
     theoretical_smoothness,
 )
-from .simnet import Outcome, Scenario, Transcript, derive_seed, run_simulation
+from .simnet import PROTOCOLS, Outcome, Scenario, Transcript, derive_seed, run_simulation
 
 INPUT_PATTERNS = ("all_zero", "all_one", "half_split", "random")
 PLACEMENTS = ("high", "low", "random")
@@ -256,16 +258,11 @@ class _Battery:
         self.suite = suite
         self.t0 = time.perf_counter()
         self.cache = cache or RunCache()
-        self.runs = 0
         self.violations = []
-
-    def run(self, scenario) -> Outcome:
-        self.runs += 1
-        return self.cache.run(scenario)
 
     def check(self, scenario, adv_name, extra, *, check=check_outcome, label=None):
         """Run, check and, on failure, record one trial."""
-        outcome = self.run(scenario)
+        outcome = self.cache.run(scenario)
         checks = check(scenario, outcome)
         if not checks["ok"]:
             self.record(scenario, adv_name, extra, checks, label)
@@ -289,7 +286,7 @@ class _Battery:
         rep = {
             "suite": self.suite,
             "ok": ok and not self.violations,
-            "trials": self.runs,
+            "trials": self.cache.misses + self.cache.hits,
             "unique_runs": self.cache.misses,
             "memo_hits": self.cache.hits,
             "violation_count": len(self.violations),
@@ -372,27 +369,6 @@ def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None)
                     tally.check(sc, adv_name, {"f": f, "pattern": pattern,
                                                "prediction": kind, "trial": k})
     return tally.report(cells=len(cells))
-
-
-def smoothness_cell(mode, alpha, n, eta, split, *, seeds: int = 50, seed: int = 0,
-                    cache=None, adversaries=None) -> tuple:
-    """Run one (eta, split) cell at f = theoretical_smoothness(eta).
-
-    Returns the number of trials run and the violations among them.
-    """
-    tally = _Battery("smoothness", cache)
-    alpha = check_alpha(mode, alpha)
-    f = theoretical_smoothness(mode, alpha, n, eta)
-    for adv_name in adversaries or library_names(n - f):
-        for k in range(seeds):
-            pattern = INPUT_PATTERNS[k % 4]
-            sc = _trial(("smoothness", seed, mode, alpha, n, eta, split, adv_name, k),
-                        f, adv_name, pattern,
-                        lambda config, rng: build_eta_prediction(config, eta, split))
-            assert compute_error(sc.config, sc.prediction).total == eta
-            tally.check(sc, adv_name, {"f": f, "eta": eta, "split": split,
-                                       "pattern": pattern, "trial": k})
-    return tally.runs, tally.violations
 
 
 def empirical_resilience(mode, alpha, n, eta, *, split: str = "worst_case",
@@ -512,12 +488,16 @@ def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
     for mode, alpha, n in flagships:
         alpha = check_alpha(mode, alpha)
         for eta in range(n + 1):
-            for split in ETA_SPLITS:
-                runs, violations = smoothness_cell(
-                    mode, alpha, n, eta, split, seeds=seeds, seed=seed,
-                    cache=tally.cache)
-                tally.runs += runs
-                tally.violations.extend(violations)
+            f = theoretical_smoothness(mode, alpha, n, eta)
+            for split, adv_name, k in itertools.product(
+                    ETA_SPLITS, library_names(n - f), range(seeds)):
+                pattern = INPUT_PATTERNS[k % 4]
+                sc = _trial(("smoothness", seed, mode, alpha, n, eta, split, adv_name, k),
+                            f, adv_name, pattern,
+                            lambda config, rng: build_eta_prediction(config, eta, split))
+                assert compute_error(sc.config, sc.prediction).total == eta
+                tally.check(sc, adv_name, {"f": f, "eta": eta, "split": split,
+                                           "pattern": pattern, "trial": k})
         rows = sweep(mode, alpha, n, trials=sweep_trials, seed=seed,
                      scan_margin=scan_margin, cache=tally.cache)
         sweeps[f"{mode}:{alpha}:{n}"] = rows
@@ -585,27 +565,7 @@ def _restricted_stream(transcripts: Sequence[Transcript], nodes) -> bytes:
     return json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _replay_triple(protocol: str, n: int):
-    """Three runs where replayed personas mirror one honest side exactly."""
-    mode = "nonauth" if protocol in ("pred_ba", "phase_king") else "auth"
-    alpha = Fraction(3, 4)
-    a_side = tuple(range(1, n // 2 + 1))
-    b_side = tuple(range(n // 2 + 1, n + 1))
-    pred = frozenset(range(1, n + 1)) if protocol in ("pred_ba", "auth_pred_ba") else None
-    in_a = {i: 0 for i in a_side}
-    in_b = {i: 1 for i in b_side}
-
-    def sc(faulty, inputs, adv_name):
-        return _scenario(mode, alpha, Configuration(n, frozenset(faulty), inputs),
-                         pred, adv_name, 0, protocol)
-
-    cfg1 = sc(b_side, in_a, "replay_one")
-    cfg2 = sc(a_side, in_b, "replay_zero")
-    cfg3 = sc((), in_a | in_b, "silent")
-    return (a_side, b_side), (cfg1, cfg2, cfg3)
-
-
-def transcript_identity_report(*, n_generic: int = 8) -> dict:
+def transcript_identity_report() -> dict:
     """Byte-level indistinguishability checks for replayed personas.
 
     For every protocol: a replay of side B with input 1 must leave side A's
@@ -621,9 +581,12 @@ def transcript_identity_report(*, n_generic: int = 8) -> dict:
         same = _restricted_stream(tx, nodes) == _restricted_stream(ty, nodes)
         entries.append({"pair": label, "nodes": len(nodes), "identical": same})
 
-    for protocol in ("pred_ba", "auth_pred_ba", "phase_king",
-                     "dolev_strong_ba", "dolev_strong_broadcast"):
-        (a_side, b_side), (cfg1, cfg2, cfg3) = _replay_triple(protocol, n_generic)
+    n = 8
+    a_side, b_side = tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))
+    for protocol, mode in PROTOCOLS.items():
+        pred = frozenset(range(1, n + 1)) if protocol in WRAPPER_PROTOCOL.values() else None
+        cfg1, cfg2, cfg3 = replay_triple(mode, Fraction(3, 4), n, a_side, b_side, pred,
+                                         protocol)
         compare(f"{protocol}:replayB-vs-honest:A", cfg1, cfg3, a_side)
         compare(f"{protocol}:replayA-vs-honest:B", cfg2, cfg3, b_side)
 
@@ -643,10 +606,10 @@ def transcript_identity_report(*, n_generic: int = 8) -> dict:
             "elapsed_s": round(time.perf_counter() - t0, 3)}
 
 
-def verify_impossibility(*, points=IMPOSSIBILITY_POINTS, seed: int = 0) -> dict:
+def verify_impossibility(*, seed: int = 0) -> dict:
     """All lower-bound families demonstrate a violation at feasible points."""
     t0 = time.perf_counter()
-    reports = [run_impossibility_suite(th, alpha, n) for th, alpha, n in points]
+    reports = [run_impossibility_suite(*point) for point in IMPOSSIBILITY_POINTS]
     identity = transcript_identity_report()
     ok = all(r["demonstrated"] for r in reports) and identity["ok"]
     return {
@@ -723,12 +686,12 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
                             f, adv_name, pattern, predict, unique)
                 if kind == "noisy":
                     divergent_runs += 1
-                    if not check_outcome(sc, tally.run(sc))["ok"]:
+                    if not check_outcome(sc, tally.cache.run(sc))["ok"]:
                         divergent_failures += 1
                     continue
                 extra = {"f": f, "pattern": pattern, "prediction": kind, "trial": k}
                 outcome, checks = tally.check(sc, adv_name, extra)
-                twin = tally.run(dataclasses.replace(
+                twin = tally.cache.run(dataclasses.replace(
                     sc, prediction=next(iter(sc.prediction.values()))))
                 if (outcome.decisions != twin.decisions
                         or outcome.decided_round != twin.decided_round):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import check_alpha
-from .protocols import DolevStrongBA, PhaseKing
+from .protocols import DolevStrongBA, PhaseKing, ds_ba_rounds, phase_king_rounds
 from .simnet import once_per_inbox
 
 
@@ -153,7 +153,7 @@ class PredBA(_WrapperBase):
         aset = build_active_set(prediction, alpha, n, "nonauth")
         super().__init__(me, input_bit, n, aset)
         t = aset.fault_param
-        self.inner_rounds = 3 * t if self.members else 0
+        self.inner_rounds = phase_king_rounds(t - 1) if self.members else 0
         if self.active:
             self.inner = PhaseKing(me, input_bit, aset.members, t - 1)
 
@@ -165,6 +165,6 @@ class AuthPredBA(_WrapperBase):
         aset = build_active_set(prediction, alpha, n, "auth")
         super().__init__(me, input_bit, n, aset)
         t = aset.fault_param
-        self.inner_rounds = (t + 1) if self.members else 0
+        self.inner_rounds = ds_ba_rounds(t - 1) if self.members else 0
         if self.active:
             self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer)

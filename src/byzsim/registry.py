@@ -1,9 +1,11 @@
-"""Maps a scenario's protocol name to a node-instance factory.
+"""Maps a scenario's protocol name to its node-instance builder.
 
-A factory takes the engine's NodeCtx and returns a protocol state machine.
+A builder takes the engine's NodeCtx and returns a protocol state machine.
 Wrapper protocols derive their schedule from the prediction; bare protocols
 take participants and budget t from scenario params, with defaults covering
-the whole id space at the largest standard budget.
+the whole id space at the largest standard budget. Which mode a protocol
+runs in is simnet.PROTOCOLS's to say; Scenario checks it, so every name
+reaching factory_for is known and matches its scenario's mode.
 """
 
 from __future__ import annotations
@@ -32,29 +34,19 @@ def _dolev_strong_broadcast(ctx: NodeCtx):
     return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
 
 
-# protocol name -> (the mode it runs in, NodeCtx -> instance)
-_PROTOCOLS = {
-    "pred_ba": ("nonauth", lambda ctx: PredBA(
-        ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n)),
-    "auth_pred_ba": ("auth", lambda ctx: AuthPredBA(
-        ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n, ctx.signer)),
-    "phase_king": ("nonauth", lambda ctx: PhaseKing(
-        ctx.node_id, ctx.input, *_group(ctx, 3))),
-    "dolev_strong_ba": ("auth", lambda ctx: DolevStrongBA(
-        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer)),
-    "dolev_strong_broadcast": ("auth", _dolev_strong_broadcast),
+# protocol name -> (NodeCtx -> instance), one entry per simnet.PROTOCOLS name
+_BUILDERS = {
+    "pred_ba": lambda ctx: PredBA(
+        ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n),
+    "auth_pred_ba": lambda ctx: AuthPredBA(
+        ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n, ctx.signer),
+    "phase_king": lambda ctx: PhaseKing(ctx.node_id, ctx.input, *_group(ctx, 3)),
+    "dolev_strong_ba": lambda ctx: DolevStrongBA(
+        ctx.node_id, ctx.input, *_group(ctx, 2), ctx.signer),
+    "dolev_strong_broadcast": _dolev_strong_broadcast,
 }
 
 
 def factory_for(scenario):
-    name = scenario.protocol
-    if name not in _PROTOCOLS:
-        raise ValueError(f"unknown protocol {name!r}")
-    mode, build = _PROTOCOLS[name]
-
-    def make(ctx: NodeCtx):
-        if ctx.mode != mode:
-            raise ValueError(f"protocol {name!r} runs in {mode} mode, not {ctx.mode}")
-        return build(ctx)
-
-    return make
+    """The NodeCtx -> instance builder of the scenario's protocol."""
+    return _BUILDERS[scenario.protocol]

@@ -53,8 +53,14 @@ from .core import Configuration, check_alpha, check_mode
 
 SCHEMA_VERSION = 1
 
-PROTOCOLS = ("pred_ba", "auth_pred_ba", "phase_king", "dolev_strong_ba",
-             "dolev_strong_broadcast")
+# protocol name -> the mode it runs in; registry maps the same names to builders
+PROTOCOLS = {
+    "pred_ba": "nonauth",
+    "auth_pred_ba": "auth",
+    "phase_king": "nonauth",
+    "dolev_strong_ba": "auth",
+    "dolev_strong_broadcast": "auth",
+}
 
 
 class ForgeryError(Exception):
@@ -204,8 +210,12 @@ class Scenario:
         object.__setattr__(self, "alpha", check_alpha(self.mode, self.alpha))
         if self.n != self.config.n:
             raise ValueError("scenario n disagrees with configuration n")
-        if self.protocol not in PROTOCOLS:
+        mode = PROTOCOLS.get(self.protocol) if isinstance(self.protocol, str) else None
+        if mode is None:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if mode != self.mode:
+            raise ValueError(
+                f"protocol {self.protocol!r} runs in {mode} mode, not {self.mode}")
         pred = self.prediction
         if pred is not None and not isinstance(pred, Mapping):
             object.__setattr__(self, "prediction", frozenset(pred))

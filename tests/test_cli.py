@@ -85,8 +85,10 @@ def test_simulate_missing_file_is_usage_error(tmp_path, capsys):
     assert "byzsim: error:" in capsys.readouterr().err
 
 
-# Each entry patches a valid scenario file. Only the first fault shows in
-# Scenario.from_json; the others show when the engine builds the run.
+# Each entry patches a valid scenario file. Faults in the document's fields,
+# such as a bad schema_version or a protocol in the wrong mode
+# (auth_phase_king), show in Scenario.from_json; the others show when the
+# engine builds the run.
 _MALFORMED = {
     "schema_version": {"schema_version": 99},
     "adversary": {"adversary": {"name": "bogus", "params": {}}},
@@ -117,6 +119,16 @@ _MALFORMED = {
                                            "params": {"round": float("inf")}}},
     "list_persona_groups": {"adversary": {"name": "persona_network",
                                           "params": {"groups": [1]}}},
+    "auth_persona_for_honest_id": {
+        "mode": "auth", "protocol": "auth_pred_ba",
+        "adversary": {"name": "persona_network", "params": {
+            "groups": {"w": {"1": {"input": 0, "pred": None}}}}}},
+    "emission_sender_without_instance": {"adversary": {
+        "name": "persona_network", "params": {
+            "groups": {"w": {"6": {"input": 0, "pred": None}}},
+            "emission": [{"group": "x", "senders": [6], "receivers": [1]}]}}},
+    "persona_input_not_a_bit": {"adversary": {"name": "replay_honest",
+                                              "params": {"input": 2}}},
 }
 
 

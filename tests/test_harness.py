@@ -346,7 +346,7 @@ _DIGESTS = {
     "robustness":
         "5bad09872e813e6506ff7c69fd621531e565620bbd06c0e9532dfbe283deacc3",
     "smoothness":
-        "07bc8557ad4b8180670f13a00243eac79e6c766e7757524aaffefc7133731d4e",
+        "555d8464766117f94ed50bd502dac59c33d2dae1e160fac25e5ea3fde4f9aaf0",
     "local":
         "07d638cbadff6c0eb36cb8002690aa0043567a6c2f858f268df097ba8b455fe0",
     "protocols":
@@ -360,7 +360,7 @@ _DIGESTS = {
     "violations_robustness":
         "f6ab1a453c15c97148a688a74dc66c7076fb7b85c74af2efee86f062f2d96023",
     "violations_smoothness":
-        "9700a33ddd06875b80cbba289c708f706e08f19900ee3485b0f2c878a8427193",
+        "1e3586dab2e402f032653a4768e81424bebfbbe75bcc92d13c7eb3e060263a08",
     "violations_local":
         "1a365b66e133ef3fbf4621543cee4b97fc1d9183bd97a4097415c5e5ecaa26d4",
     "violations_protocols":

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from byzsim import protocols, simnet
+from byzsim import protocols, registry, simnet
 from byzsim.adversary import build_strategy, random_noise, replay_honest, silent
 from byzsim.core import Configuration
 from byzsim.simnet import (
@@ -94,12 +94,25 @@ def test_scenario_rejects_bad_documents():
         Scenario.from_json({**doc, "schema_version": 99})
     with pytest.raises(ValueError):
         Scenario.from_json({**doc, "protocol": "paxos"})
+    with pytest.raises(ValueError, match="unknown protocol"):
+        Scenario.from_json({**doc, "protocol": ["pred_ba"]})
     with pytest.raises(ValueError):
         Scenario.from_json({**doc, "prediction": {"nonsense": []}})
     with pytest.raises(ValueError):
         # auth alpha range starts at 1/2; 0.4 only works nonauth
         Scenario.from_json({**doc, "mode": "auth", "alpha": "2/5",
                             "protocol": "auth_pred_ba"})
+
+
+@pytest.mark.parametrize("protocol, mode", list(simnet.PROTOCOLS.items()))
+def test_scenario_rejects_a_protocol_in_the_other_mode(protocol, mode):
+    other = "auth" if mode == "nonauth" else "nonauth"
+    with pytest.raises(ValueError, match=f"runs in {mode} mode, not {other}"):
+        _scenario(protocol=protocol, mode=other)
+
+
+def test_every_protocol_has_one_builder_and_one_mode():
+    assert set(registry._BUILDERS) == set(simnet.PROTOCOLS)
 
 
 def test_scenario_n_must_match_configuration():
