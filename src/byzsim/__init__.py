@@ -6,108 +6,24 @@ and scenario format (:mod:`byzsim.simnet`), the two classic inner protocols
 (:mod:`byzsim.predba`), the adversary library and impossibility scenario
 builders (:mod:`byzsim.adversary`), prediction generators
 (:mod:`byzsim.predgen`), the experiment batteries (:mod:`byzsim.harness`),
-and the ``byzsim`` command line (:mod:`byzsim.cli`). The names most code
-needs are re-exported here.
+and the ``byzsim`` command line (:mod:`byzsim.cli`).
+
+Only the names the README's quick tour imports are re-exported here.
+Everything else is imported from the module that owns it, e.g.
+``from byzsim.harness import verify_consistency``.
 """
 
-from .adversary import (
-    AdversarySpec,
-    build_impossibility_scenarios,
-    build_strategy,
-    crash_after,
-    persona_network,
-    random_noise,
-    replay_honest,
-    silent,
-    split_brain,
-)
-from .core import (
-    Configuration,
-    ErrorBreakdown,
-    as_alpha,
-    check_alpha,
-    compute_error,
-    compute_local_error,
-    consistency_bound,
-    curve_rows,
-    robustness_bound,
-    theoretical_impossibility,
-    theoretical_smoothness,
-)
-from .harness import (
-    VERIFY_SUITES,
-    check_outcome,
-    curves_to_csv,
-    empirical_resilience,
-    run_impossibility_suite,
-    sweep,
-    sweep_to_csv,
-    transcript_identity_report,
-    verify_consistency,
-    verify_impossibility,
-    verify_local,
-    verify_protocols,
-    verify_robustness,
-    verify_smoothness,
-)
-from .predba import ActiveSet, build_active_set
-from .predgen import local_from_global, perfect, with_error, worst_case
-from .simnet import (
-    SCHEMA_VERSION,
-    ForgeryError,
-    Outcome,
-    Scenario,
-    Transcript,
-    round_budget,
-    run_simulation,
-)
+from .adversary import silent, split_brain
+from .core import Configuration, theoretical_smoothness
+from .harness import sweep
+from .simnet import Scenario, run_simulation
 
 __all__ = [
-    "AdversarySpec",
-    "ActiveSet",
     "Configuration",
-    "ErrorBreakdown",
-    "ForgeryError",
-    "Outcome",
-    "SCHEMA_VERSION",
     "Scenario",
-    "Transcript",
-    "VERIFY_SUITES",
-    "as_alpha",
-    "build_active_set",
-    "build_impossibility_scenarios",
-    "build_strategy",
-    "check_alpha",
-    "check_outcome",
-    "compute_error",
-    "compute_local_error",
-    "consistency_bound",
-    "crash_after",
-    "curve_rows",
-    "curves_to_csv",
-    "empirical_resilience",
-    "local_from_global",
-    "perfect",
-    "persona_network",
-    "random_noise",
-    "replay_honest",
-    "robustness_bound",
-    "round_budget",
-    "run_impossibility_suite",
     "run_simulation",
     "silent",
     "split_brain",
     "sweep",
-    "sweep_to_csv",
-    "theoretical_impossibility",
     "theoretical_smoothness",
-    "transcript_identity_report",
-    "verify_consistency",
-    "verify_impossibility",
-    "verify_local",
-    "verify_protocols",
-    "verify_robustness",
-    "verify_smoothness",
-    "with_error",
-    "worst_case",
 ]

@@ -33,8 +33,6 @@ from .core import Configuration, check_alpha
 from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Inbox, Scenario,
                      field_int, field_items)
 
-THEOREM_IDS = ("T4.1", "T4.2p1", "T4.2p2", "T4.2p3", "TC.4p1", "TC.4p2", "T5.2")
-
 
 # ---------------------------------------------------------------------------
 # Spec constructors
@@ -136,10 +134,6 @@ def persona_network(groups, feed_overrides=(), emission=(), cutoff=None) -> Adve
 # ---------------------------------------------------------------------------
 # Strategy implementations
 # ---------------------------------------------------------------------------
-
-
-class _Silent(AdversaryStrategy):
-    pass
 
 
 class _Noise(AdversaryStrategy):
@@ -309,7 +303,7 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
     honest = scenario.config.honest
 
     if name == "silent":
-        return _Silent()
+        return AdversaryStrategy()  # the base strategy sends nothing
 
     if name == "random_noise":
         return _Noise(field_int(p.get("seed", 0), "noise seed"))
@@ -554,5 +548,6 @@ def build_impossibility_scenarios(theorem: str, alpha, n: int):
     wrappers here.
     """
     if theorem not in _BUILDERS:
-        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+        raise ValueError(
+            f"unknown theorem id {theorem!r}; expected one of {tuple(_BUILDERS)}")
     return _BUILDERS[theorem](alpha, n)

@@ -31,9 +31,11 @@ import sys
 import tempfile
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .core import as_alpha, check_alpha
+from .core import MODES, as_alpha, check_alpha
 from .harness import (
+    ETA_SPLITS,
     LIBRARY,
+    SWEEP_TRIALS,
     VERIFY_SUITES,
     curves_to_csv,
     sweep,
@@ -247,19 +249,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mode = args.mode
-    alpha = _parse_alpha(args.alpha, mode)
+    alpha = _parse_alpha(args.alpha, args.mode)
     etas = _parse_eta_range(args.eta_range, args.n) if args.eta_range else None
-    rows = sweep(
-        mode,
-        alpha,
-        args.n,
-        etas=etas,
-        split=args.split,
-        trials=args.trials,
-        seed=args.seed,
-        adversaries=_parse_adversaries(args.adversaries),
-    )
+    rows = sweep(args.mode, alpha, args.n, etas=etas, split=args.split, trials=args.trials,
+                 seed=args.seed, adversaries=_parse_adversaries(args.adversaries))
     _emit(sweep_to_csv(rows), args.out)
     return 0
 
@@ -318,21 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="empirical resilience over an error range")
-    sw.add_argument("--mode", required=True, choices=("nonauth", "auth"))
+    sw.add_argument("--mode", required=True, choices=MODES)
     sw.add_argument("--alpha", required=True, help="trust parameter, e.g. 0.8 or 4/5")
     sw.add_argument("--n", required=True, type=_positive_int, help="node count")
     sw.add_argument("--eta-range", help="'lo:hi' inclusive (default: 0:n)")
-    sw.add_argument("--split", default="worst_case",
-                    choices=("worst_case", "inverse", "balanced"),
+    sw.add_argument("--split", default=ETA_SPLITS[0], choices=ETA_SPLITS,
                     help="how the error divides over wrong-in/missing-from P")
-    sw.add_argument("--trials", type=_positive_int, default=12, help="trials per cell")
+    sw.add_argument("--trials", type=_positive_int, default=SWEEP_TRIALS,
+                    help="trials per cell")
     sw.add_argument("--adversaries", help="comma-separated subset of the library")
     sw.add_argument("--seed", required=True, type=int)
     sw.add_argument("--out", help="CSV file (default: stdout)")
     sw.set_defaults(func=cmd_sweep)
 
     cv = sub.add_parser("curves", help="export theoretical bound curves (no runs)")
-    cv.add_argument("--mode", required=True, choices=("nonauth", "auth"))
+    cv.add_argument("--mode", required=True, choices=MODES)
     cv.add_argument("--alpha", required=True)
     cv.add_argument("--n", required=True, type=_positive_int)
     cv.add_argument("--out", help="CSV file (default: stdout)")
@@ -341,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run one acceptance battery")
     vf.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
     vf.add_argument("--seed", required=True, type=int)
-    vf.add_argument("--mode", choices=("nonauth", "auth"),
+    vf.add_argument("--mode", choices=MODES,
                     help="restrict to one grid cell (with --alpha and --n)")
     vf.add_argument("--alpha")
     vf.add_argument("--n", type=_positive_int)

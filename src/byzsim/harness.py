@@ -65,6 +65,11 @@ GRID_ALPHAS = {
 }
 GRID_NS = (10, 20, 30, 40)
 
+# Sweep defaults: seeded trials per (eta, fault count) cell, and how far
+# above the theoretical value the resilience scan looks.
+SWEEP_TRIALS = 12
+SCAN_MARGIN = 6
+
 # The two settings whose full curves get swept end to end.
 FLAGSHIPS = (("nonauth", Fraction(4, 5), 40), ("auth", Fraction(4, 5), 30))
 
@@ -242,7 +247,7 @@ def _trial(coords, f, adv_name, pattern, predict, unique=False) -> Scenario:
     cache.
     """
     mode, alpha, n = coords[2:5]
-    placement = PLACEMENTS[coords[-1] % 3] if unique else "high"
+    placement = PLACEMENTS[coords[-1] % len(PLACEMENTS)] if unique else "high"
     trial_seed = derive_seed(*coords)
     rng = random.Random(trial_seed)
     faulty = make_faulty(n, f, placement, rng)
@@ -303,8 +308,8 @@ def _grid(grid=None):
         for mode, alpha, n in grid:
             cells.append((check_mode(mode), check_alpha(mode, alpha), int(n)))
         return cells
-    for mode in ("nonauth", "auth"):
-        for alpha in GRID_ALPHAS[mode]:
+    for mode, alphas in GRID_ALPHAS.items():
+        for alpha in alphas:
             for n in GRID_NS:
                 cells.append((mode, alpha, n))
     return cells
@@ -360,7 +365,7 @@ def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None)
         for adv_name in library_names(n - f):
             for pattern in INPUT_PATTERNS:
                 for k in range(seeds):
-                    kind = ROBUSTNESS_PREDICTIONS[k % 4]
+                    kind = ROBUSTNESS_PREDICTIONS[k % len(ROBUSTNESS_PREDICTIONS)]
                     sc = _trial(
                         ("robustness", seed, mode, alpha, n, adv_name, pattern, k),
                         f, adv_name, pattern,
@@ -371,9 +376,9 @@ def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None)
     return tally.report(cells=len(cells))
 
 
-def empirical_resilience(mode, alpha, n, eta, *, split: str = "worst_case",
-                         trials: int = 12, seed: int = 0, cache=None,
-                         scan_margin: int = 6, adversaries=LIBRARY) -> int:
+def empirical_resilience(mode, alpha, n, eta, *, split: str = ETA_SPLITS[0],
+                         trials: int = SWEEP_TRIALS, seed: int = 0, cache=None,
+                         scan_margin: int = SCAN_MARGIN, adversaries=LIBRARY) -> int:
     """Largest tested fault count with zero observed violations at this eta.
 
     The scan starts at the theoretical value and walks outward: upward to
@@ -391,7 +396,7 @@ def empirical_resilience(mode, alpha, n, eta, *, split: str = "worst_case",
         for k in range(trials):
             adv_name = names[k % len(names)]
             sc = _trial(("sweep", seed, mode, alpha, n, eta, split, f, adv_name, k),
-                        f, adv_name, INPUT_PATTERNS[k % 4],
+                        f, adv_name, INPUT_PATTERNS[k % len(INPUT_PATTERNS)],
                         lambda config, rng: build_eta_prediction(config, eta, split))
             if not check_outcome(sc, cache.run(sc))["ok"]:
                 return False
@@ -411,8 +416,8 @@ def empirical_resilience(mode, alpha, n, eta, *, split: str = "worst_case",
     return f
 
 
-def sweep(mode, alpha, n, *, etas=None, split: str = "worst_case",
-          trials: int = 12, seed: int = 0, scan_margin: int = 6,
+def sweep(mode, alpha, n, *, etas=None, split: str = ETA_SPLITS[0],
+          trials: int = SWEEP_TRIALS, seed: int = 0, scan_margin: int = SCAN_MARGIN,
           adversaries=None, cache=None) -> list:
     """Empirical resilience next to both theory curves for a range of eta."""
     cache = cache or RunCache()
@@ -476,7 +481,7 @@ def curves_to_csv(mode, alpha, n) -> str:
 
 
 def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
-                      sweep_trials: int = 12, scan_margin: int = 6,
+                      sweep_trials: int = SWEEP_TRIALS, scan_margin: int = SCAN_MARGIN,
                       cache=None) -> dict:
     """Exact-error predictions must tolerate the smoothness curve's value.
 
@@ -491,7 +496,7 @@ def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
             f = theoretical_smoothness(mode, alpha, n, eta)
             for split, adv_name, k in itertools.product(
                     ETA_SPLITS, library_names(n - f), range(seeds)):
-                pattern = INPUT_PATTERNS[k % 4]
+                pattern = INPUT_PATTERNS[k % len(INPUT_PATTERNS)]
                 sc = _trial(("smoothness", seed, mode, alpha, n, eta, split, adv_name, k),
                             f, adv_name, pattern,
                             lambda config, rng: build_eta_prediction(config, eta, split))
@@ -575,9 +580,11 @@ def transcript_identity_report() -> dict:
     t0 = time.perf_counter()
     entries = []
 
-    def compare(label, sc_x, sc_y, nodes):
-        _, tx = run_simulation(sc_x)
-        _, ty = run_simulation(sc_y)
+    def transcripts(scenarios):
+        # Each configuration runs once, however many pairs it is part of.
+        return [run_simulation(sc)[1] for sc in scenarios]
+
+    def compare(label, tx, ty, nodes):
         same = _restricted_stream(tx, nodes) == _restricted_stream(ty, nodes)
         entries.append({"pair": label, "nodes": len(nodes), "identical": same})
 
@@ -585,19 +592,19 @@ def transcript_identity_report() -> dict:
     a_side, b_side = tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))
     for protocol, mode in PROTOCOLS.items():
         pred = frozenset(range(1, n + 1)) if protocol in WRAPPER_PROTOCOL.values() else None
-        cfg1, cfg2, cfg3 = replay_triple(mode, Fraction(3, 4), n, a_side, b_side, pred,
-                                         protocol)
-        compare(f"{protocol}:replayB-vs-honest:A", cfg1, cfg3, a_side)
-        compare(f"{protocol}:replayA-vs-honest:B", cfg2, cfg3, b_side)
+        t1, t2, t3 = transcripts(replay_triple(mode, Fraction(3, 4), n, a_side, b_side,
+                                               pred, protocol))
+        compare(f"{protocol}:replayB-vs-honest:A", t1, t3, a_side)
+        compare(f"{protocol}:replayA-vs-honest:B", t2, t3, b_side)
 
-    t41 = build_impossibility_scenarios("T4.1", Fraction(4, 5), 20)
+    t41 = transcripts(build_impossibility_scenarios("T4.1", Fraction(4, 5), 20))
     eta = 2
     a_side = tuple(range(1, eta + 1))
     b_side = tuple(range(eta + 1, 2 * eta + 1))
     compare("T4.1:cfg1-vs-cfg2:A", t41[0], t41[1], a_side)
     compare("T4.1:cfg1-vs-cfg3:B", t41[0], t41[2], b_side)
 
-    t52 = build_impossibility_scenarios("T5.2", Fraction(1, 2), 8)
+    t52 = transcripts(build_impossibility_scenarios("T5.2", Fraction(1, 2), 8))
     compare("T5.2:cfg1-vs-cfg3:A", t52[0], t52[2], tuple(range(1, 5)))
     compare("T5.2:cfg2-vs-cfg3:B", t52[1], t52[2], tuple(range(5, 9)))
 
@@ -676,8 +683,8 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
         f_cons = consistency_bound(mode, alpha, n)
         f_rob = robustness_bound(mode, alpha, n)
         for k in range(seeds):
-            pattern = INPUT_PATTERNS[k % 4]
-            kind = LOCAL_PREDICTIONS[(k // 4) % len(LOCAL_PREDICTIONS)]
+            pattern = INPUT_PATTERNS[k % len(INPUT_PATTERNS)]
+            kind = LOCAL_PREDICTIONS[(k // len(INPUT_PATTERNS)) % len(LOCAL_PREDICTIONS)]
             f = f_cons if kind == "perfect" else f_rob
             unique = kind == "noisy" or pattern == "random"
             predict = functools.partial(_local_prediction, kind)

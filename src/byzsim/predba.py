@@ -5,7 +5,7 @@ active set L: start from P and pad with ids 1, 2, ... (skipping ids already
 present) until |L| reaches the mode's threshold, compared exactly as a
 rational:
 
-    nonauth   3/2 * (1-alpha) * n - 1
+    nonauth   max(3/2 * (1-alpha) * n - 1, 1)
     auth      2 * (1-alpha) * n - 1
 
 The fault budget is t = ceil(|L|/3) (nonauth) or ceil(|L|/2) (auth). Nodes
@@ -60,7 +60,8 @@ def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
     if not pred <= frozenset(range(1, n + 1)):
         raise ValueError("prediction contains ids outside 1..n")
     if mode == "nonauth":
-        threshold = Fraction(3, 2) * (1 - a) * n - 1
+        # at least one member, so the passives have someone to adopt from
+        threshold = max(Fraction(3, 2) * (1 - a) * n - 1, 1)
     else:
         threshold = 2 * (1 - a) * n - 1
     members = set(pred)
@@ -86,7 +87,6 @@ class _WrapperBase:
     """Common outer machinery: inner rounds, then one adopt round."""
 
     def __init__(self, me: int, input_bit: int, n: int, active_set: ActiveSet):
-        self.me = me
         self.input = int(input_bit)
         self.n = n
         self.aset = active_set

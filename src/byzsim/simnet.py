@@ -405,7 +405,6 @@ class NodeCtx:
 
     node_id: int
     n: int
-    mode: str
     alpha: Fraction
     input: int
     prediction: object  # frozenset, or None for bare protocols
@@ -440,9 +439,8 @@ def once_per_inbox(inbox, fn, *args):
 
 def _build_instance(factory: Callable, sc: Scenario, node_id: int, input_bit: int,
                     prediction, signer):
-    return factory(NodeCtx(node_id=node_id, n=sc.n, mode=sc.mode, alpha=sc.alpha,
-                           input=input_bit, prediction=prediction, signer=signer,
-                           params=sc.params))
+    return factory(NodeCtx(node_id=node_id, n=sc.n, alpha=sc.alpha, input=input_bit,
+                           prediction=prediction, signer=signer, params=sc.params))
 
 
 class AdversaryCtx:
@@ -451,7 +449,6 @@ class AdversaryCtx:
     def __init__(self, scenario: Scenario, ledger: SignatureLedger, factory: Callable):
         self.scenario = scenario
         self.n = scenario.n
-        self.mode = scenario.mode
         self.faulty = scenario.config.faulty
         self.honest = scenario.config.honest
         self._ledger = ledger
@@ -475,7 +472,7 @@ class AdversaryCtx:
         """
         if node_id in self.faulty:
             signer = self.signer_for(node_id)
-        elif self.mode == "auth":
+        elif self.scenario.mode == "auth":
             raise ForgeryError(
                 f"auth mode: cannot run an instance of honest node {node_id} "
                 f"without forging its signatures"

@@ -283,6 +283,19 @@ def test_transcript_identity_all_pairs():
     assert all(e["identical"] for e in rep["pairs"])
 
 
+def test_transcript_identity_runs_each_configuration_once(monkeypatch):
+    # 5 protocols x 3 replay configurations, plus T4.1's and T5.2's three
+    seen = []
+
+    def spy(scenario, **kwargs):
+        seen.append(json.dumps(scenario.to_json(), sort_keys=True))
+        return run_simulation(scenario, **kwargs)
+
+    monkeypatch.setattr(harness, "run_simulation", spy)
+    assert transcript_identity_report()["ok"]
+    assert len(seen) == len(set(seen)) == 21
+
+
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------

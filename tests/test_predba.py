@@ -237,3 +237,26 @@ def test_auth_wrapper_meets_smoothness_at_p0_counterexample(bit, adversary):
                {i: bit for i in range(24, P0_N + 1)}, P0_PREDICTION, adversary)
     assert out.termination and out.agreement and out.validity
     assert set(out.decisions.values()) == {bit}
+
+
+# ---------------------------------------------------------------------------
+# Empty active set: a padding target at or below zero
+# ---------------------------------------------------------------------------
+
+
+# (1-alpha)*n is so small here that the padding target is <= 0, so P = {}
+# would give an empty active set: nobody sends an adopt message and every
+# node keeps its own input in round 1. The nonauth target is clamped to one
+# member, who runs a one-phase Phase King and is adopted in round 4.
+@pytest.mark.parametrize("mode, alpha, n", [
+    ("nonauth", Fraction(4, 5), 3),
+    ("nonauth", Fraction(1), 10),
+    ("nonauth", Fraction(17, 20), 4),
+    pytest.param("auth", Fraction(1), 10, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP P0/P1: the auth target 2*(1-alpha)*n - 1 is -1 here and the auth "
+        "active set stays empty; P0's decision rule covers the auth side"))),
+])
+def test_empty_prediction_with_no_faults_reaches_agreement(mode, alpha, n):
+    out = _run(mode, alpha, n, set(), {i: i % 2 for i in range(1, n + 1)}, frozenset())
+    assert out.termination and out.agreement and out.validity
+    assert out.decided_round == 4
