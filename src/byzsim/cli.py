@@ -29,6 +29,8 @@ import os
 import stat
 import sys
 import tempfile
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import MODES, as_alpha, check_alpha
@@ -69,20 +71,25 @@ def _write_atomic(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write text, or the chunks of an iterable in order, to path atomically.
 
     The file ends up with the mode a plain open(path, "w") would give it;
-    the temporary file mkstemp makes is readable by its owner only.
+    the temporary file mkstemp makes is readable by its owner only. A path
+    that cannot be written (missing directory, a directory, no permission)
+    is a usage error, and no temporary file is left behind.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    mode = _open_mode(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".byzsim-tmp-")
     try:
-        os.fchmod(fd, mode)
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines((text,) if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        mode = _open_mode(path)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".byzsim-tmp-")
+        try:
+            os.fchmod(fd, mode)
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines((text,) if isinstance(text, str) else text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -99,29 +106,30 @@ def _json(doc) -> str:
 
 
 _I4, _I6, _I8, _I10, _I12, _I14 = (" " * k for k in (4, 6, 8, 10, 12, 14))
-
-
-def _json_list(blocks: list, indent: str) -> str:
-    """A JSON array laid out as json.dumps(indent=2) lays it out at indent."""
-    if not blocks:
-        return "[]"
-    return "[\n" + ",\n".join(blocks) + "\n" + indent + "]"
+_TO = itemgetter(0)
+_PAYLOAD = itemgetter(1)
 
 
 def _transcript_chunks(transcripts) -> Iterator[str]:
-    """The transcript file, one node at a time, in chunks that join to exactly
+    """The transcript file, in file order, in pieces that join to exactly
 
         _json({"schema_version": SCHEMA_VERSION,
                "transcripts": [t.to_json() for t in transcripts]})
 
-    without building that document. Every payload string is escaped once,
-    with the encoder json.dumps itself uses. A received list equal to the
-    previous node's list of the same round is not rendered again: on the
-    n=80 simulate benchmark scenarios that holds for 98% of the lists. Nodes
-    that were handed the same inbox share one received list object
-    (RoundLog.received), which only needs an identity check; the lists are
-    only read here. The memo keeps one list per round, so memory stays
-    bounded when inboxes differ.
+    without building that document or any node's text. Every payload string
+    is escaped once, with the encoder json.dumps itself uses.
+
+    A sent entry's text depends only on its (to, payload) pair, so each run
+    of consecutive entries with one payload is rendered with a single
+    str.join over the receiver ids; a broadcast is one run. The run is a
+    piece of its own and is not copied into a larger string.
+
+    A received list equal to the previous node's list of the same round is
+    not rendered again, and its rendering is yielded as the one shared
+    string. Nodes that were handed the same inbox share one received list
+    object (RoundLog.received), which only needs an identity check; the
+    lists are only read here. The memo keeps one list per round, so memory
+    stays bounded when inboxes differ.
     """
     escaped = {}  # payload json -> its JSON string literal
 
@@ -133,29 +141,43 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
 
     last = {}  # round -> (received list, its rendering)
 
-    def render(r):
+    def received(r):
         prev = last.get(r.round)
         if prev is not None and (prev[0] is r.received or prev[0] == r.received):
-            recv = prev[1]
+            return prev[1]
+        if r.received:
+            text = "[\n" + ",\n".join(
+                f'{_I12}{{\n{_I14}"from": {s},\n{_I14}"payload": {esc(pj)}\n{_I12}}}'
+                for s, pj in r.received) + f"\n{_I10}]"
         else:
-            recv = _json_list(
-                [f'{_I12}{{\n{_I14}"from": {s},\n{_I14}"payload": {esc(pj)}\n{_I12}}}'
-                 for s, pj in r.received], _I10)
-            last[r.round] = (r.received, recv)
-        sent = _json_list(
-            [f'{_I12}{{\n{_I14}"payload": {esc(pj)},\n{_I14}"to": {to}\n{_I12}}}'
-             for to, pj in r.sent], _I10)
-        return (f'{_I8}{{\n{_I10}"received": {recv},\n{_I10}"round": {r.round},\n'
-                f'{_I10}"sent": {sent}\n{_I8}}}')
+            text = "[]"
+        last[r.round] = (r.received, text)
+        return text
 
+    close = f"\n{_I12}}}"
     yield f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "transcripts": '
     if not transcripts:
         yield "[]\n}\n"
         return
     for k, t in enumerate(transcripts):
-        rounds = _json_list([render(r) for r in t.rounds], _I6)
-        yield (",\n" if k else "[\n") + (
-            f'{_I4}{{\n{_I6}"node": {t.node},\n{_I6}"rounds": {rounds}\n{_I4}}}')
+        yield (",\n" if k else "[\n") + f'{_I4}{{\n{_I6}"node": {t.node},\n{_I6}"rounds": '
+        if not t.rounds:
+            yield f"[]\n{_I4}}}"
+            continue
+        for j, r in enumerate(t.rounds):
+            yield (",\n" if j else "[\n") + f'{_I8}{{\n{_I10}"received": '
+            yield received(r)
+            if not r.sent:
+                yield f',\n{_I10}"round": {r.round},\n{_I10}"sent": []\n{_I8}}}'
+                continue
+            sep = f',\n{_I10}"round": {r.round},\n{_I10}"sent": [\n'
+            for pj, run in groupby(r.sent, _PAYLOAD):
+                head = f'{_I12}{{\n{_I14}"payload": {esc(pj)},\n{_I14}"to": '
+                yield sep + head
+                yield (close + ",\n" + head).join(map(str, map(_TO, run)))
+                sep = close + ",\n"
+            yield f"{close}\n{_I10}]\n{_I8}}}"
+        yield f"\n{_I6}]\n{_I4}}}"
     yield "\n  ]\n}\n"
 
 

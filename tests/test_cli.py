@@ -162,15 +162,17 @@ def _dumps(transcripts) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _small(protocol, mode, adversary, prediction=None):
-    return Scenario(n=7, mode=mode, alpha=Fraction(3, 5),
-                    config=Configuration(7, frozenset({6, 7}),
-                                         {i: i % 2 for i in range(1, 6)}),
+def _small(protocol, mode, adversary, prediction=None, n=7):
+    return Scenario(n=n, mode=mode, alpha=Fraction(3, 5),
+                    config=Configuration(n, frozenset({n - 1, n}),
+                                         {i: i % 2 for i in range(1, n - 1)}),
                     prediction=prediction, adversary=adversary, seed=1,
                     protocol=protocol)
 
 
 _P = frozenset({1, 2, 3, 6})
+# At n = 16 a node's round holds many messages, often several with one payload.
+_HALVES = split_brain((range(1, 8), range(8, 15)), 0, 1)
 _WRITER_CASES = {
     "pred_ba": _small("pred_ba", "nonauth", random_noise(4), _P),
     "auth_pred_ba": _small("auth_pred_ba", "auth", replay_honest(1), _P),
@@ -178,6 +180,8 @@ _WRITER_CASES = {
     "dolev_strong_ba": _small("dolev_strong_ba", "auth", replay_honest(0)),
     "dolev_strong_broadcast": _small("dolev_strong_broadcast", "auth", silent()),
     "crash_after": _small("pred_ba", "nonauth", crash_after(1), _P),
+    "dolev_strong_ba_n16": _small("dolev_strong_ba", "auth", _HALVES, n=16),
+    "pred_ba_n16": _small("pred_ba", "nonauth", _HALVES, frozenset(range(1, 17)), n=16),
 }
 
 
@@ -231,6 +235,49 @@ def test_transcript_writer_escapes_payload_strings():
     logged = [pj for t in transcripts for r in t.rounds for _, pj in r.received]
     assert any('\\"' in pj and "\\u2603" in pj for pj in logged)
     assert "".join(cli._transcript_chunks(transcripts)) == _dumps(transcripts)
+
+
+def _fresh(text):
+    """An equal string in a new object."""
+    return text[:1] + text[1:]
+
+
+@st.composite
+def _hand_built_transcripts(draw):
+    payloads = draw(st.lists(st.text(max_size=6).map(json.dumps), min_size=1, max_size=4))
+    ids = st.integers(1, 999)
+
+    def sent():
+        entries = []
+        for pj, tos in draw(st.lists(st.tuples(st.sampled_from(payloads),
+                                               st.lists(ids, min_size=1, max_size=4)),
+                                     max_size=4)):
+            fresh = draw(st.booleans())
+            entries += [(to, _fresh(pj) if fresh else pj) for to in tos]
+        return entries
+
+    def received(prev):
+        how = draw(st.sampled_from(("same", "equal", "other"))) if prev is not None else "other"
+        if how == "same":
+            return prev
+        if how == "equal":
+            return [(s, _fresh(pj)) for s, pj in prev]
+        return draw(st.lists(st.tuples(ids, st.sampled_from(payloads)), max_size=4))
+
+    last, transcripts = {}, []  # round -> the previous node's received list
+    for node in draw(st.lists(ids, max_size=4)):
+        rounds = []
+        for rnd in range(1, draw(st.integers(0, 3)) + 1):
+            last[rnd] = received(last.get(rnd))
+            rounds.append(RoundLog(round=rnd, sent=sent(), received=last[rnd]))
+        transcripts.append(Transcript(node=node, rounds=rounds))
+    return transcripts
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ts=_hand_built_transcripts())
+def test_transcript_writer_matches_json_dumps_on_hand_built_transcripts(ts):
+    assert "".join(cli._transcript_chunks(ts)) == _dumps(ts)
 
 
 def _pinned_scenarios():
@@ -402,6 +449,8 @@ _OUTPUTS = {
               ("a",)),
     "curves": (["curves", "--mode", "auth", "--alpha", "3/4", "--n", "8", "--out", "{a}"],
                ("a",)),
+    "verify": (["verify", "--suite", "consistency", "--seed", "0", "--mode", "nonauth",
+                "--alpha", "3/5", "--n", "6", "--trials", "1", "--out", "{a}"], ("a",)),
 }
 
 
@@ -421,6 +470,22 @@ def test_output_files_get_the_mode_open_would_give(command, umask, scenario_file
         os.umask(old)
     for key in outputs:
         assert _mode(paths[key]) == _mode(tmp_path / "plain")
+
+
+@pytest.mark.parametrize("unwritable", ["missing directory", "directory"])
+@pytest.mark.parametrize("command,key", [(command, key) for command, (_, keys)
+                                         in _OUTPUTS.items() for key in keys])
+def test_unwritable_output_is_a_usage_error(command, key, unwritable, scenario_file,
+                                            tmp_path, capsys):
+    argv, _ = _OUTPUTS[command]
+    bad = tmp_path / ("missing/x.out" if unwritable == "missing directory" else "x.out")
+    if unwritable == "directory":
+        bad.mkdir()
+    paths = {"scenario": str(scenario_file), "a": str(tmp_path / "a.out"),
+             "b": str(tmp_path / "b.out"), key: str(bad)}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"byzsim: error: cannot write {bad}: ")
+    assert not list(tmp_path.rglob(".byzsim-tmp-*"))
 
 
 def test_output_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):
