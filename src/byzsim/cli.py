@@ -12,8 +12,9 @@ Four subcommands cover the package's workflows:
   any assertion inside it fails.
 
 Exit codes are a stable contract: 0 success, 1 assertion or internal
-failure, 2 usage error (bad flags, unreadable or invalid input files).
-Output files are written atomically (temp file + rename) and depend only
+failure, 2 usage error (bad flags, unreadable or invalid input files,
+unwritable output paths). Every output file is opened before the work
+starts, and is written atomically (temp file + rename); it depends only
 on the inputs and the seed, never on wall-clock or iteration order, so
 repeating an invocation reproduces them byte for byte. Battery reports
 are the one exception: they carry an ``elapsed_s`` timing field, which is
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -31,7 +33,7 @@ import sys
 import tempfile
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .core import MODES, as_alpha, check_alpha
 from .harness import (
@@ -44,7 +46,7 @@ from .harness import (
     sweep_to_csv,
 )
 from . import adversary
-from .simnet import SCHEMA_VERSION, ForgeryError, Scenario, run_simulation
+from .simnet import SCHEMA_VERSION, ForgeryError, Scenario, ScenarioError, run_simulation
 
 # What parsing a malformed scenario document or adversary spec raises:
 # missing keys, wrong types, bad values, and an adversary asked to act for
@@ -58,47 +60,70 @@ class UsageError(Exception):
 
 def _open_mode(path: str) -> int:
     """The permission bits open(path, "w") would leave path with: an existing
-    file keeps its own, a new one gets 0o666 less the umask."""
+    file keeps its own, a new one gets 0o666 less the umask. An empty path
+    or a directory raises what open would."""
     try:
-        return stat.S_IMODE(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
+        if not path:
+            raise
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return stat.S_IMODE(mode)
 
 
-def _write_atomic(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Write text, or the chunks of an iterable in order, to path atomically.
-
-    The file ends up with the mode a plain open(path, "w") would give it;
-    the temporary file mkstemp makes is readable by its owner only. A path
-    that cannot be written (missing directory, a directory, no permission)
-    is a usage error, and no temporary file is left behind.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+@contextlib.contextmanager
+def _cannot_write(path: str):
+    """Report an OSError on path as a usage error."""
     try:
-        mode = _open_mode(path)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".byzsim-tmp-")
-        try:
-            os.fchmod(fd, mode)
-            with os.fdopen(fd, "w") as fh:
-                fh.writelines((text,) if isinstance(text, str) else text)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Yield write(text), which writes text, or the chunks of an iterable in
+    order, to path atomically.
+
+    The temporary file is made on entry, so a path that cannot be written
+    (missing directory, a directory, no permission) is a usage error before
+    the block runs. On a clean exit the file is renamed to path, with the
+    mode a plain open(path, "w") would give it; the temporary file mkstemp
+    makes is readable by its owner only. If the block raises, the temporary
+    file is removed. An OSError while the file is made, written or renamed
+    is a usage error.
+    """
+    with _cannot_write(path):
+        mode = _open_mode(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".byzsim-tmp-")
+    fh = os.fdopen(fd, "w")
+
+    def write(text):
+        with _cannot_write(path):
+            fh.writelines((text,) if isinstance(text, str) else text)
+
+    try:
+        yield write
+        with _cannot_write(path):
+            os.fchmod(fd, mode)
+            fh.close()
+            os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _output(path: Optional[str]):
+    """_atomic_output(path), or stdout's write when no path is given."""
+    return _atomic_output(path) if path else contextlib.nullcontext(sys.stdout.write)
 
 
 def _json(doc) -> str:
@@ -246,41 +271,47 @@ def cmd_simulate(args) -> int:
     except _MALFORMED as exc:
         raise UsageError(f"invalid scenario: {type(exc).__name__}: {exc}") from None
 
-    try:
-        outcome, transcripts = run_simulation(
-            scenario, adversary=strategy, record_transcripts=args.transcripts is not None
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        # Bad protocol or persona parameters show only when the run is built.
-        raise UsageError(f"invalid scenario: {type(exc).__name__}: {exc}") from None
-    out_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": scenario.to_json(),
-        "outcome": {
-            "decisions": {str(k): v for k, v in sorted(outcome.decisions.items())},
-            "decided_round": outcome.decided_round,
-            "agreement": outcome.agreement,
-            "validity": outcome.validity,
-            "termination": outcome.termination,
-        },
-    }
-    _emit(_json(out_doc), args.out)
-    if args.transcripts is not None:
-        _write_atomic(args.transcripts, _transcript_chunks(transcripts))
+    record = args.transcripts is not None
+    with contextlib.ExitStack() as files:
+        write_out = files.enter_context(_output(args.out))
+        if record:
+            write_transcripts = files.enter_context(_atomic_output(args.transcripts))
+        try:
+            outcome, transcripts = run_simulation(
+                scenario, adversary=strategy, record_transcripts=record)
+        except ScenarioError as exc:
+            raise UsageError(f"invalid scenario: {exc}") from None
+        write_out(_json({
+            "schema_version": SCHEMA_VERSION,
+            "scenario": scenario.to_json(),
+            "outcome": {
+                "decisions": {str(k): v for k, v in sorted(outcome.decisions.items())},
+                "decided_round": outcome.decided_round,
+                "agreement": outcome.agreement,
+                "validity": outcome.validity,
+                "termination": outcome.termination,
+            },
+        }))
+        if record:
+            write_transcripts(_transcript_chunks(transcripts))
     return 0
 
 
 def cmd_sweep(args) -> int:
     alpha = _parse_alpha(args.alpha, args.mode)
     etas = _parse_eta_range(args.eta_range, args.n) if args.eta_range else None
-    rows = sweep(args.mode, alpha, args.n, etas=etas, split=args.split, trials=args.trials,
-                 seed=args.seed, adversaries=_parse_adversaries(args.adversaries))
-    _emit(sweep_to_csv(rows), args.out)
+    adversaries = _parse_adversaries(args.adversaries)
+    with _output(args.out) as write:
+        write(sweep_to_csv(sweep(args.mode, alpha, args.n, etas=etas, split=args.split,
+                                 trials=args.trials, seed=args.seed,
+                                 adversaries=adversaries)))
     return 0
 
 
 def cmd_curves(args) -> int:
-    _emit(curves_to_csv(args.mode, _parse_alpha(args.alpha, args.mode), args.n), args.out)
+    alpha = _parse_alpha(args.alpha, args.mode)
+    with _output(args.out) as write:
+        write(curves_to_csv(args.mode, alpha, args.n))
     return 0
 
 
@@ -304,11 +335,12 @@ def cmd_verify(args) -> int:
             raise UsageError("--trials does not apply to the impossibility suite")
         else:
             kwargs["seeds"] = args.trials
-    report = battery(**kwargs)
-    text = _json(report)
-    sys.stdout.write(text)
-    if args.out:
-        _write_atomic(args.out, text)
+    with _atomic_output(args.out) if args.out else contextlib.nullcontext() as save:
+        report = battery(**kwargs)
+        text = _json(report)
+        sys.stdout.write(text)
+        if save:
+            save(text)
     return 0 if report["ok"] else 1
 
 

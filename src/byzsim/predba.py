@@ -38,9 +38,6 @@ class ActiveSet:
     fault_param: int  # t
     min_size: int  # smallest integer size satisfying the threshold
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.members
-
 
 def build_active_set(prediction, alpha, n: int, mode: str) -> ActiveSet:
     """Derive the active set L from a prediction.

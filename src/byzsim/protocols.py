@@ -13,6 +13,7 @@ garbage are treated alike). Broadcasts include the sender itself.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .simnet import once_per_inbox, payload_digest
@@ -139,71 +140,20 @@ def _king_value(inbox, phase: int, king: int) -> int:
     return 0
 
 
-class _BroadcastInstance:
-    """One node's state in one signed-broadcast instance (a single designated sender).
-
-    A chain is a tuple of (signer_id, token) pairs. The j-th token signs the
-    digest of ("ds-link", sender, value, signers-before-j), so a chain is
-    bound to its exact signer sequence and value. A relay received in round
-    r is accepted iff its chain carries exactly r pairwise-distinct
-    participant signatures, the first by the designated sender, all valid
-    (see _ChainIndex). Each value is accepted once; a node other than the
-    sender relays what it accepts in rounds 1..t, with its own signature
-    appended, unless its signature is already on the chain.
-    """
-
-    # Link digests are pure functions of (sender, value, signer prefix), so
-    # one process-wide cache serves every instance and run. Chains
-    # revalidate shared prefixes constantly; without the cache the JSON
-    # canonicalization inside payload_digest dominates long-chain rounds.
-    _LINK_DIGESTS = {}
-
-    def __init__(self, me, sender, value, signer):
-        self.me = me
-        self.sender = sender
-        self.signer = signer
-        self.extracted = set()
-        self._queue = {}
-        if me == sender and value is not None:
-            v = int(value)
-            chain = ((sender, signer.sign(_link_digest(sender, v, ()))),)
-            self._queue[1] = [("ds", sender, 1, v, chain)]
-            self.extracted.add(v)
-
-    def take_outbox(self, rnd: int):
-        return self._queue.pop(rnd, [])
-
-    def accept(self, rnd: int, t: int, hits) -> bool:
-        """Accept the (position, payload) hits in order; True iff a relay was queued."""
-        queued = False
-        for _, (tag, s, r, val, chain) in hits:
-            self.extracted.add(val)
-            if rnd > t or self.me == self.sender:
-                continue
-            signers = tuple(link[0] for link in chain)
-            if self.me in signers:
-                continue
-            token = self.signer.sign(_link_digest(s, val, signers))
-            self._queue.setdefault(rnd + 1, []).append(
-                ("ds", s, rnd + 1, val, chain + ((self.me, token),)))
-            queued = True
-        return queued
-
-    def output(self) -> int:
-        if len(self.extracted) == 1:
-            return next(iter(self.extracted))
-        return 0
+# Link digests are pure functions of (sender, value, signer prefix), so one
+# process-wide cache serves every node and run. Chains revalidate shared
+# prefixes constantly; without the cache the JSON canonicalization inside
+# payload_digest dominates long-chain rounds.
+_LINK_DIGESTS = {}
 
 
 def _link_digest(sender, value: int, signers: tuple) -> str:
-    cache = _BroadcastInstance._LINK_DIGESTS
     key = (sender, value, signers)
-    d = cache.get(key)
+    d = _LINK_DIGESTS.get(key)
     if d is None:
-        if len(cache) > 200_000:
-            cache.clear()
-        d = payload_digest(("ds-link", sender, value, signers))
-        cache[key] = d
+        if len(_LINK_DIGESTS) > 200_000:
+            _LINK_DIGESTS.clear()
+        d = _LINK_DIGESTS[key] = payload_digest(("ds-link", sender, value, signers))
     return d
 
 
@@ -275,13 +225,26 @@ class _ChainIndex:
         return True
 
 
-class _SignedRelays:
-    """What both signed-broadcast protocols share: the group, the budget and
-    the per-round chain indexes.
+_SENDER = itemgetter(0)
 
-    Indexes are built once per inbox, round and group (see
-    simnet.once_per_inbox), so every instance handed the same inbox shares
-    one.
+
+class _SignedRelays:
+    """One node's whole signed-broadcast state, for every sender at once.
+
+    A chain is a tuple of (signer_id, token) pairs. The j-th token signs the
+    digest of ("ds-link", sender, value, signers-before-j), so a chain is
+    bound to its exact signer sequence and value. A relay received in round
+    r is accepted iff its chain carries exactly r pairwise-distinct
+    participant signatures, the first by the broadcast's sender, all valid
+    (see _ChainIndex). Each value is extracted once per sender; a node other
+    than the sender relays what it extracts in rounds 1..t, with its own
+    signature appended, unless its signature is already on the chain.
+
+    ``extracted`` maps each sender to the values extracted from its
+    broadcast; a sender without an entry extracted nothing. ``_relays`` maps
+    each round to the (sender, payload) relays queued for it. Chain indexes
+    are built once per inbox, round and group (see simnet.once_per_inbox),
+    so every node handed the same inbox shares one.
     """
 
     def __init__(self, me, participants, t, signer):
@@ -292,9 +255,41 @@ class _SignedRelays:
         self.t = t
         self._group = frozenset(self.participants)
         self._signer = signer
+        self.extracted = {}  # sender -> {value, ...}
+        self._relays = {}  # round -> [(sender, payload), ...]
+
+    def _broadcast(self, value) -> None:
+        """Start this node's own broadcast of value (None sends nothing)."""
+        if value is not None:
+            me, v = self.me, int(value)
+            chain = ((me, self._signer.sign(_link_digest(me, v, ()))),)
+            self._relays[1] = [(me, ("ds", me, 1, v, chain))]
+            self.extracted[me] = {v}
+
+    def _take_relays(self, rnd: int) -> list:
+        """The relays queued for rnd, sorted by broadcast sender; the sort is
+        stable, so each sender's relays keep the order they were queued in."""
+        relays = sorted(self._relays.pop(rnd, ()), key=_SENDER)
+        return [(self.participants, p) for _, p in relays]
 
     def _index(self, rnd: int, inbox) -> _ChainIndex:
         return once_per_inbox(inbox, _ChainIndex, rnd, self._group)
+
+    def _accept(self, rnd: int, s, index: _ChainIndex) -> None:
+        """Extract the values of sender s's valid relays in index, and queue
+        the relays they call for."""
+        me, extracted = self.me, self.extracted
+        for _, (_, _, _, val, chain) in index.accepted(
+                s, extracted.get(s, ()), self._signer.verify):
+            extracted.setdefault(s, set()).add(val)
+            if rnd > self.t or me == s:
+                continue
+            signers = tuple(link[0] for link in chain)
+            if me in signers:
+                continue
+            token = self._signer.sign(_link_digest(s, val, signers))
+            self._relays.setdefault(rnd + 1, []).append(
+                (s, ("ds", s, rnd + 1, val, chain + ((me, token),))))
 
 
 class DolevStrongBroadcast(_SignedRelays):
@@ -302,33 +297,33 @@ class DolevStrongBroadcast(_SignedRelays):
 
     def __init__(self, me, sender, value, participants, t, signer):
         super().__init__(me, participants, t, signer)
-        self.inst = _BroadcastInstance(me, sender, value, signer)
+        self.sender = sender
         self.rounds = ds_broadcast_rounds(t)
         self.decision: Optional[int] = None
+        if me == sender:
+            self._broadcast(value)
 
     def outbox(self, rnd: int):
-        return [(self.participants, p) for p in self.inst.take_outbox(rnd)]
+        return self._take_relays(rnd)
 
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
             return
-        inst = self.inst
         index = self._index(rnd, inbox)
-        if inst.sender in index.relays:
-            inst.accept(rnd, self.t,
-                        index.accepted(inst.sender, inst.extracted, self._signer.verify))
+        if self.sender in index.relays:
+            self._accept(rnd, self.sender, index)
         if rnd == self.rounds:
-            self.decision = inst.output()
+            values = self.extracted.get(self.sender, ())
+            self.decision = next(iter(values)) if len(values) == 1 else 0
 
 
 class DolevStrongBA(_SignedRelays):
-    """Agreement via parallel signed broadcasts, one instance per member.
+    """Agreement via parallel signed broadcasts, one per member.
 
     After the t+1 broadcast rounds each node takes the majority of the m
-    instance outputs (ties to 0) as its decision, then one more round
-    exchanges the decisions so they appear in transcripts. A node builds
-    the instance of another sender only when it first accepts a value from
-    it; a missing instance outputs 0, as an instance that extracted nothing.
+    broadcast outputs (ties to 0) as its decision, then one more round
+    exchanges the decisions so they appear in transcripts. A broadcast's
+    output is the one value extracted from it, else 0.
     """
 
     def __init__(self, me, input_bit, participants, t, signer):
@@ -336,20 +331,14 @@ class DolevStrongBA(_SignedRelays):
         if me not in self.participants:
             raise ValueError(f"node {me} is not among the participants")
         self.rounds = ds_ba_rounds(t)
-        self.instances = {me: _BroadcastInstance(me, me, input_bit, signer)}
-        self._queued = {1: {me}}  # round -> senders whose instance queued relays
         self._verdict: Optional[int] = None
         self.decision: Optional[int] = None
+        self._broadcast(input_bit)
 
     def outbox(self, rnd: int):
-        if rnd > self.rounds:
-            return []
         if rnd == self.rounds:
             return [(self.participants, ("dsdec", self._verdict))]
-        out = []
-        for s in sorted(self._queued.pop(rnd, ())):  # in participant order
-            out.extend((self.participants, p) for p in self.instances[s].take_outbox(rnd))
-        return out
+        return self._take_relays(rnd)
 
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
@@ -358,16 +347,8 @@ class DolevStrongBA(_SignedRelays):
             self.decision = self._verdict
             return
         index = self._index(rnd, inbox)
-        instances, verify = self.instances, self._signer.verify
         for s in index.relays:
-            inst = instances.get(s)
-            hits = index.accepted(s, inst.extracted if inst is not None else (), verify)
-            if not hits:
-                continue
-            if inst is None:
-                inst = instances[s] = _BroadcastInstance(self.me, s, None, self._signer)
-            if inst.accept(rnd, self.t, hits):
-                self._queued.setdefault(rnd + 1, set()).add(s)
+            self._accept(rnd, s, index)
         if rnd == self.rounds - 1:
-            ones = sum(inst.output() == 1 for inst in instances.values())
+            ones = sum(values == {1} for values in self.extracted.values())
             self._verdict = 1 if 2 * ones > len(self.participants) else 0

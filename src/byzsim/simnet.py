@@ -67,6 +67,10 @@ class ForgeryError(Exception):
     """Raised when something would require signing on behalf of an honest id."""
 
 
+class ScenarioError(ValueError):
+    """A scenario whose nodes or adversary cannot be built from its parameters."""
+
+
 # ---------------------------------------------------------------------------
 # Canonical payload encoding
 # ---------------------------------------------------------------------------
@@ -557,7 +561,9 @@ def run_simulation(
     """Run one scenario; returns (Outcome, [Transcript per honest id]).
 
     protocol defaults to the factory registered for scenario.protocol, and
-    adversary to the strategy built from scenario.adversary.
+    adversary to the strategy built from scenario.adversary. Parameters that
+    show to be bad only while the nodes and the adversary are built raise
+    ScenarioError; anything raised during the rounds propagates as it is.
     """
     if protocol is None:
         from .registry import factory_for
@@ -570,10 +576,13 @@ def run_simulation(
     sc = scenario
     ledger = SignatureLedger()
     honest = sorted(sc.config.honest)
-    nodes = {i: _build_instance(protocol, sc, i, sc.config.inputs[i],
-                                sc.prediction_for(i), Signer(ledger, i))
-             for i in honest}
-    adversary.begin(AdversaryCtx(sc, ledger, protocol))
+    try:
+        nodes = {i: _build_instance(protocol, sc, i, sc.config.inputs[i],
+                                    sc.prediction_for(i), Signer(ledger, i))
+                 for i in honest}
+        adversary.begin(AdversaryCtx(sc, ledger, protocol))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
 
     logs = {i: [] for i in honest} if record_transcripts else None
     decided_round = {}

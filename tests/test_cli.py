@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import byzsim.cli as cli
+import byzsim.protocols as protocols
 from byzsim.adversary import (
     crash_after,
     persona_network,
@@ -149,6 +150,20 @@ def test_simulate_bug_while_building_the_run_is_an_internal_error(scenario_file,
     monkeypatch.setattr(cli.adversary, "build_strategy", broken)
     assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 1
     assert "byzsim: internal error: AttributeError" in capsys.readouterr().err
+
+
+def test_simulate_bug_during_the_rounds_is_an_internal_error(scenario_file, monkeypatch,
+                                                             capsys):
+    deliver = protocols.PhaseKing.deliver
+
+    def broken(self, rnd, inbox):
+        if rnd == 2:
+            raise KeyError("a bug, not a bad file")
+        deliver(self, rnd, inbox)
+
+    monkeypatch.setattr(protocols.PhaseKing, "deliver", broken)
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 1
+    assert "byzsim: internal error: KeyError" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +487,26 @@ def test_output_files_get_the_mode_open_would_give(command, umask, scenario_file
         assert _mode(paths[key]) == _mode(tmp_path / "plain")
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the work ran although an output cannot be written")
+
+
+# Patches each command's work to fail if it runs: every output is opened first.
+_WORK = {
+    "simulate": lambda patch: patch.setattr(cli, "run_simulation", _never),
+    "sweep": lambda patch: patch.setattr(cli, "sweep", _never),
+    "curves": lambda patch: patch.setattr(cli, "curves_to_csv", _never),
+    "verify": lambda patch: patch.setitem(cli.VERIFY_SUITES, "consistency", _never),
+}
+
+
 @pytest.mark.parametrize("unwritable", ["missing directory", "directory"])
 @pytest.mark.parametrize("command,key", [(command, key) for command, (_, keys)
                                          in _OUTPUTS.items() for key in keys])
 def test_unwritable_output_is_a_usage_error(command, key, unwritable, scenario_file,
-                                            tmp_path, capsys):
-    argv, _ = _OUTPUTS[command]
+                                            tmp_path, monkeypatch, capsys):
+    argv, outputs = _OUTPUTS[command]
+    _WORK[command](monkeypatch)
     bad = tmp_path / ("missing/x.out" if unwritable == "missing directory" else "x.out")
     if unwritable == "directory":
         bad.mkdir()
@@ -486,6 +515,14 @@ def test_unwritable_output_is_a_usage_error(command, key, unwritable, scenario_f
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith(f"byzsim: error: cannot write {bad}: ")
     assert not list(tmp_path.rglob(".byzsim-tmp-*"))
+    assert not [k for k in outputs if k != key and os.path.exists(paths[k])]
+
+
+def test_empty_transcripts_path_is_a_usage_error_before_the_run(scenario_file, monkeypatch,
+                                                                capsys):
+    monkeypatch.setattr(cli, "run_simulation", _never)
+    assert cli.main(["simulate", "--scenario", str(scenario_file), "--transcripts", ""]) == 2
+    assert capsys.readouterr() == ("", "byzsim: error: cannot write : No such file or directory\n")
 
 
 def test_output_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):

@@ -354,6 +354,8 @@ _N10_FLAGSHIPS = (("nonauth", Fraction(4, 5), 10), ("auth", Fraction(4, 5), 10))
 _DIGESTS = {
     "transcripts":
         "640179f5fe9664e8df0b019613c1158f26a54f257c0618fa6d3c478dd3dac0de",
+    "dolev_strong":
+        "2d2b61eb234431e264fff569ab513dc3d4d07836ccd4b87472d6949d59728152",
     "consistency":
         "f45cca98dc409c6e1f22b28bef06102df8db50d06c92c44df5b08bdf382ef206",
     "robustness":
@@ -392,6 +394,34 @@ def _transcript_runs() -> str:
             scenarios.append(harness._trial(
                 ("transcripts", 0, mode, alpha, n, adv_name), f, adv_name,
                 "half_split", lambda config, rng: frozenset(range(1, config.n + 1))))
+    return _runs_json(scenarios)
+
+
+def _dolev_strong_runs() -> str:
+    """Decisions and honest transcripts of bare signed broadcast and
+    agreement runs at m = 4, 7 and 10. The order of one round's relays is
+    part of these bytes: dolev_strong_ba at m = 7 with faulty {1, 7} under
+    split_brain, and at m = 10 with faulty {1} under noise, change if a
+    round's relays are not sorted by broadcast sender."""
+    scenarios = []
+    for m in (4, 7, 10):
+        for protocol in ("dolev_strong_broadcast", "dolev_strong_ba"):
+            for faulty in (set(), {1}, {m}, {1, m}):
+                honest = sorted(set(range(1, m + 1)) - faulty)
+                for unanimous in (True, False):
+                    inputs = {i: 1 if unanimous else i % 2 for i in honest}
+                    config = Configuration(m, frozenset(faulty), inputs)
+                    for adv_name in library_names(len(honest)):
+                        if faulty or adv_name == "silent":
+                            scenarios.append(Scenario(
+                                n=m, mode="auth", alpha=Fraction(3, 4), config=config,
+                                prediction=None,
+                                adversary=materialize_adversary(adv_name, config),
+                                seed=1, protocol=protocol))
+    return _runs_json(scenarios)
+
+
+def _runs_json(scenarios) -> str:
     docs = []
     for sc in scenarios:
         outcome, transcripts = run_simulation(sc)
@@ -403,6 +433,7 @@ def _transcript_runs() -> str:
 
 _SLICES = {
     "transcripts": _transcript_runs,
+    "dolev_strong": _dolev_strong_runs,
     "consistency": lambda: verify_consistency(seeds=3, grid=_SMALL_GRID),
     "robustness": lambda: verify_robustness(seeds=4, grid=_SMALL_GRID),
     "smoothness": lambda: verify_smoothness(flagships=_N10_FLAGSHIPS, seeds=2,

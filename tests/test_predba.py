@@ -72,7 +72,7 @@ def test_active_set_is_pure():
     a = build_active_set({3, 7}, Fraction(4, 5), 20, "nonauth")
     b = build_active_set({3, 7}, Fraction(4, 5), 20, "nonauth")
     assert a == b == ActiveSet(a.members, a.fault_param, a.min_size)
-    assert 3 in a and 5 not in a
+    assert 3 in a.members and 5 not in a.members
 
 
 @pytest.mark.parametrize("mode,alpha,n", [
