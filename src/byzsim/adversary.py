@@ -202,6 +202,7 @@ class _Personas(AdversaryStrategy):
         self.cutoff = cutoff
         self._out = {}
         self._addressed = {}  # address tuple -> its interned frozenset
+        self._to = {}  # (interned address set, rule receivers) -> receiver tuple
 
     def begin(self, ctx):
         super().begin(ctx)
@@ -243,7 +244,8 @@ class _Personas(AdversaryStrategy):
 
     def emit(self, rnd, honest_messages):
         # Equal address lists map to one frozenset object, so observe can
-        # tell the few distinct ones apart cheaply.
+        # tell the few distinct ones apart cheaply, and each pair of such a
+        # set and a rule's receivers to one receiver tuple, made once a run.
         self._out = {
             key: [(self._interned(addressed), payload)
                   for addressed, payload in inst.outbox(rnd)]
@@ -255,7 +257,10 @@ class _Personas(AdversaryStrategy):
         for g, pick, receivers in self._emit_rules:
             for s in pick:
                 for addressed, payload in self._out[(g, s)]:
-                    to = tuple(sorted(addressed & receivers))
+                    to = self._to.get((addressed, receivers))
+                    if to is None:
+                        to = self._to[addressed, receivers] = tuple(
+                            sorted(addressed & receivers))
                     if to:
                         result.append((s, to, payload))
         return result
@@ -265,10 +270,13 @@ class _Personas(AdversaryStrategy):
         # A persona's inbox is fixed by its group, its engine inbox and which
         # address sets of its group's fed traffic name it; the interned sets
         # of the run cover the latter. Personas that agree on all three
-        # share one list.
+        # share one list. A view equal to an honest node's inbox is that
+        # inbox, so the results computed from it for the honest nodes
+        # serve the persona too.
         sets = tuple(self._addressed.values())
         named = {}  # id -> which interned address sets name it
         views = {}
+        honest = None  # the round's distinct honest inboxes, found on first need
         for (g, i), inst in self.instances.items():
             box = inboxes[i]
             heard = named.get(i)
@@ -285,6 +293,10 @@ class _Personas(AdversaryStrategy):
                             inbox.append((s, payload))
                 # Stable: each sender's messages keep their order.
                 inbox.sort(key=operator.itemgetter(0))
+                if honest is None:
+                    honest = list({id(inboxes[j]): inboxes[j]
+                                   for j in self.ctx.honest}.values())
+                inbox = next((b for b in honest if b == inbox), inbox)
                 views[key] = inbox
             inst.deliver(rnd, inbox)
 

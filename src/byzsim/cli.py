@@ -122,8 +122,11 @@ def _atomic_output(path: str):
 
 
 def _output(path: Optional[str]):
-    """_atomic_output(path), or stdout's write when no path is given."""
-    return _atomic_output(path) if path else contextlib.nullcontext(sys.stdout.write)
+    """_atomic_output(path), or stdout's write when no path is given; an
+    empty path is a path, which cannot be written."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout.write)
+    return _atomic_output(path)
 
 
 def _json(doc) -> str:
@@ -335,7 +338,8 @@ def cmd_verify(args) -> int:
             raise UsageError("--trials does not apply to the impossibility suite")
         else:
             kwargs["seeds"] = args.trials
-    with _atomic_output(args.out) if args.out else contextlib.nullcontext() as save:
+    saving = _atomic_output(args.out) if args.out is not None else contextlib.nullcontext()
+    with saving as save:
         report = battery(**kwargs)
         text = _json(report)
         sys.stdout.write(text)

@@ -157,6 +157,26 @@ def _link_digest(sender, value: int, signers: tuple) -> str:
     return d
 
 
+class _Hit:
+    """The first valid relay of one (sender, value) in a round's inbox: its
+    position and payload, its chain's signers, and the digest a node signs
+    to relay it, made on first need."""
+
+    __slots__ = ("pos", "payload", "signers", "_digest")
+
+    def __init__(self, pos: int, payload: tuple, signers: tuple):
+        self.pos = pos
+        self.payload = payload
+        self.signers = signers
+        self._digest = None
+
+    def next_digest(self) -> str:
+        if self._digest is None:
+            _, s, _, v, _ = self.payload
+            self._digest = _link_digest(s, v, self.signers)
+        return self._digest
+
+
 class _ChainIndex:
     """The signed-broadcast relays of one round's inbox, by (sender, value).
 
@@ -173,7 +193,7 @@ class _ChainIndex:
     def __init__(self, inbox, rnd: int, group: frozenset):
         self.group = group
         self.relays = {}  # sender -> {value: [(position, payload), ...]}
-        self._first = {}  # (sender, value) -> (position, payload) or None
+        self._first = {}  # (sender, value) -> _Hit or None
         relays = self.relays
         for pos, (_, p) in enumerate(inbox):
             if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
@@ -188,8 +208,7 @@ class _ChainIndex:
                     same.append((pos, p))
 
     def accepted(self, sender, extracted, verify) -> list:
-        """(position, payload) of the first valid relay of each value of sender
-        not in extracted, in inbox order."""
+        """The _Hit of each value of sender not in extracted, in inbox order."""
         hits = []
         for v, relays in self.relays[sender].items():
             if v in extracted:
@@ -198,31 +217,38 @@ class _ChainIndex:
             if key in self._first:
                 hit = self._first[key]
             else:
-                hit = self._first[key] = next(
-                    (r for r in relays if self._valid(r[1], verify)), None)
+                hit = self._first[key] = self._first_valid(relays, verify)
             if hit is not None:
                 hits.append(hit)
-        if len(hits) == 2:
-            hits.sort()
+        if len(hits) == 2 and hits[1].pos < hits[0].pos:
+            hits.reverse()
         return hits
 
-    def _valid(self, payload, verify) -> bool:
+    def _first_valid(self, relays, verify) -> Optional[_Hit]:
+        for pos, payload in relays:
+            signers = self._signers(payload, verify)
+            if signers is not None:
+                return _Hit(pos, payload, signers)
+        return None
+
+    def _signers(self, payload, verify) -> Optional[tuple]:
+        """The signers of payload's chain if the chain is valid, else None."""
         _, s, rnd, v, chain = payload
         if not isinstance(chain, tuple) or len(chain) != rnd:
-            return False
+            return None
         signers = []
         for link in chain:
             if not (isinstance(link, tuple) and len(link) == 2):
-                return False
+                return None
             signers.append(link[0])
         if signers[0] != s or len(set(signers)) != len(signers):
-            return False
+            return None
         if not self.group.issuperset(signers):
-            return False
+            return None
         for j, (who, token) in enumerate(chain):
             if not verify(token, who, _link_digest(s, v, tuple(signers[:j]))):
-                return False
-        return True
+                return None
+        return tuple(signers)
 
 
 _SENDER = itemgetter(0)
@@ -279,17 +305,14 @@ class _SignedRelays:
         """Extract the values of sender s's valid relays in index, and queue
         the relays they call for."""
         me, extracted = self.me, self.extracted
-        for _, (_, _, _, val, chain) in index.accepted(
-                s, extracted.get(s, ()), self._signer.verify):
+        relays = rnd <= self.t and me != s
+        for hit in index.accepted(s, extracted.get(s, ()), self._signer.verify):
+            _, _, _, val, chain = hit.payload
             extracted.setdefault(s, set()).add(val)
-            if rnd > self.t or me == s:
-                continue
-            signers = tuple(link[0] for link in chain)
-            if me in signers:
-                continue
-            token = self._signer.sign(_link_digest(s, val, signers))
-            self._relays.setdefault(rnd + 1, []).append(
-                (s, ("ds", s, rnd + 1, val, chain + ((me, token),))))
+            if relays and me not in hit.signers:
+                token = self._signer.sign(hit.next_digest())
+                self._relays.setdefault(rnd + 1, []).append(
+                    (s, ("ds", s, rnd + 1, val, chain + ((me, token),))))
 
 
 class DolevStrongBroadcast(_SignedRelays):
@@ -347,8 +370,12 @@ class DolevStrongBA(_SignedRelays):
             self.decision = self._verdict
             return
         index = self._index(rnd, inbox)
-        for s in index.relays:
-            self._accept(rnd, s, index)
+        extracted = self.extracted
+        for s, offered in index.relays.items():
+            # A sender whose every offered value is extracted has nothing new.
+            done = extracted.get(s)
+            if done is None or not done.issuperset(offered):
+                self._accept(rnd, s, index)
         if rnd == self.rounds - 1:
-            ones = sum(values == {1} for values in self.extracted.values())
+            ones = sum(values == {1} for values in extracted.values())
             self._verdict = 1 if 2 * ones > len(self.participants) else 0

@@ -19,7 +19,9 @@ deliver or observe that mutated its inbox would change what other nodes
 receive. Every inbox handed out is an Inbox, which carries the results
 computed from it (see once_per_inbox): the Dolev-Strong chain index, the
 Phase King tallies and king lookups, and the wrappers' adopt counts are
-computed once per shared inbox and live and die with it.
+computed once per shared inbox and live and die with it. A persona view
+equal to an honest node's inbox of the round is that inbox, so personas
+share those results too.
 
 A run terminates when every honest node has decided, or fails to terminate
 once the round budget 4*(n+2) is exhausted.
@@ -36,7 +38,8 @@ ledger records who minted what. verify succeeds only for recorded pairs, and
 the engine refuses to hand adversaries a signer for an honest id, which is
 what makes signatures unforgeable here. Tokens are deterministic functions
 of (signer, digest) so that indistinguishable configurations stay
-byte-identical across runs.
+byte-identical across runs; being pure, they come from one process-wide
+memo (_TOKENS), which records nothing about who minted them.
 """
 
 from __future__ import annotations
@@ -120,27 +123,40 @@ def derive_seed(*parts) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Tokens are pure functions of (signer, digest), so one process-wide memo
+# serves every ledger and run: the runs of a battery mint the same few
+# thousand tokens over and over. It holds no record of who minted what;
+# that stays in each ledger.
+_TOKENS = {}
+
+
+def _token(key: tuple) -> str:
+    """The token of key = (signer, digest): sha256 of "signer|digest", truncated."""
+    tok = _TOKENS.get(key)
+    if tok is None:
+        if len(_TOKENS) > 200_000:
+            _TOKENS.clear()
+        tok = _TOKENS[key] = hashlib.sha256(f"{key[0]}|{key[1]}".encode()).hexdigest()[:16]
+    return tok
+
+
 class SignatureLedger:
     """Append-only record of minted (signer, digest) pairs.
 
     Tokens are deterministic so identical causal histories yield identical
     bytes; unforgeability comes from the minting discipline, not from token
-    secrecy.
+    secrecy. verify reads only this ledger's record, never the token memo.
     """
 
     def __init__(self):
         self._minted = {}  # (signer, digest) -> token
         self._minted_by_adversary = set()
 
-    @staticmethod
-    def _token(signer: int, digest: str) -> str:
-        return hashlib.sha256(f"{signer}|{digest}".encode()).hexdigest()[:16]
-
     def mint(self, signer: int, digest: str, *, adversarial: bool = False) -> str:
-        tok = self._token(signer, digest)
-        self._minted[(signer, digest)] = tok
+        key = (signer, digest)
+        tok = self._minted[key] = _token(key)
         if adversarial:
-            self._minted_by_adversary.add((signer, digest))
+            self._minted_by_adversary.add(key)
         return tok
 
     def verify(self, token: str, signer: int, digest: str) -> bool:

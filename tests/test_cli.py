@@ -525,6 +525,18 @@ def test_empty_transcripts_path_is_a_usage_error_before_the_run(scenario_file, m
     assert capsys.readouterr() == ("", "byzsim: error: cannot write : No such file or directory\n")
 
 
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_empty_out_path_is_a_usage_error_before_the_work(command, scenario_file, tmp_path,
+                                                         monkeypatch, capsys):
+    argv, _ = _OUTPUTS[command]
+    _WORK[command](monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    paths = {"scenario": str(scenario_file), "a": "", "b": str(tmp_path / "b.out")}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "byzsim: error: cannot write : No such file or directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == [scenario_file.name]
+
+
 def test_output_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):
     out = tmp_path / "curves.csv"
     out.write_text("old\n")

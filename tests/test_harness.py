@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import byzsim.harness as harness
-from byzsim.adversary import build_impossibility_scenarios, silent
+from byzsim.adversary import (build_impossibility_scenarios, persona_network, replay_honest,
+                              silent, split_brain)
 from byzsim.core import (
     Configuration,
     compute_error,
@@ -356,6 +357,8 @@ _DIGESTS = {
         "640179f5fe9664e8df0b019613c1158f26a54f257c0618fa6d3c478dd3dac0de",
     "dolev_strong":
         "2d2b61eb234431e264fff569ab513dc3d4d07836ccd4b87472d6949d59728152",
+    "persona_views":
+        "b50458441c1708adeddf5476289bb2ff085642407ef68733058b59b23c1923ca",
     "consistency":
         "f45cca98dc409c6e1f22b28bef06102df8db50d06c92c44df5b08bdf382ef206",
     "robustness":
@@ -421,6 +424,39 @@ def _dolev_strong_runs() -> str:
     return _runs_json(scenarios)
 
 
+def _persona_view_runs() -> str:
+    """Decisions and honest transcripts of both wrappers at n = 16 with
+    faulty {1, 2, 3, 4} under crash, replay_one and split_brain. Each
+    attack runs once with the personas on the scenario's prediction, so
+    that many persona views equal an honest node's inbox, and once with a
+    spoofed prediction that gives them another active set, so that many
+    do not."""
+    n, faulty = 16, frozenset({1, 2, 3, 4})
+    honest = sorted(set(range(1, n + 1)) - faulty)
+    spoofed = frozenset(range(1, 9))
+    scenarios = []
+    for mode, alpha, protocol in (("auth", Fraction(3, 4), "auth_pred_ba"),
+                                  ("nonauth", Fraction(3, 5), "pred_ba")):
+        for prediction in (frozenset(range(1, n + 1)), frozenset(honest)):
+            for unanimous in (True, False):
+                inputs = {i: 1 if unanimous else i % 2 for i in honest}
+                config = Configuration(n, faulty, inputs)
+                attacks = [materialize_adversary(name, config)
+                           for name in ("crash", "replay_one", "split_brain")]
+                attacks += [
+                    persona_network({"w": {c: (0, spoofed) for c in faulty}},
+                                    emission=[("w", None, honest)], cutoff=2),
+                    replay_honest(1, spoofed),
+                    split_brain((honest[:6], honest[6:]), 0, 1, spoofed),
+                ]
+                for adversary in attacks:
+                    scenarios.append(Scenario(
+                        n=n, mode=mode, alpha=alpha, config=config,
+                        prediction=prediction, adversary=adversary, seed=1,
+                        protocol=protocol))
+    return _runs_json(scenarios)
+
+
 def _runs_json(scenarios) -> str:
     docs = []
     for sc in scenarios:
@@ -434,6 +470,7 @@ def _runs_json(scenarios) -> str:
 _SLICES = {
     "transcripts": _transcript_runs,
     "dolev_strong": _dolev_strong_runs,
+    "persona_views": _persona_view_runs,
     "consistency": lambda: verify_consistency(seeds=3, grid=_SMALL_GRID),
     "robustness": lambda: verify_robustness(seeds=4, grid=_SMALL_GRID),
     "smoothness": lambda: verify_smoothness(flagships=_N10_FLAGSHIPS, seeds=2,

@@ -1,5 +1,6 @@
 """Shared inboxes: the engine hands listeners addressed alike one inbox list,
-personas with the same view share one list, and every instance of a run
+personas with the same view share one list, a persona view equal to an
+honest node's inbox is that inbox, and every instance of a run
 computes a node-independent result once per list: the Dolev-Strong chain
 index, the Phase King tallies and king lookups, and the wrappers' adopt
 counts. These tests pin what sharing relies on: no deliver or observe
@@ -469,3 +470,55 @@ def test_every_inbox_dies_with_its_run(name):
     finally:
         gc.enable()
         gc.collect()  # the wrapped delivers tie each instance into a cycle
+
+
+# ---------------------------------------------------------------------------
+# Persona views that equal an honest inbox are that inbox
+# ---------------------------------------------------------------------------
+
+
+_EQUAL_VIEWS = {
+    "replay_honest": _scenario("auth", "auth_pred_ba", replay_honest(1), 12, (1, 2, 3, 4)),
+    "split_brain": _SHARING["split_brain"],
+    "split_brain_nonauth": _SHARING["split_brain_nonauth"],
+}
+
+
+@pytest.mark.parametrize("name", list(_EQUAL_VIEWS))
+def test_persona_views_equal_to_an_honest_inbox_are_that_inbox(monkeypatch, name):
+    sc = _EQUAL_VIEWS[name]
+    honest_boxes = {}  # round -> the inboxes honest nodes were handed
+    persona_views = []  # (round, inbox) of every persona delivery
+    built = Counter()  # (function, round, args, inbox contents) -> builds
+    rnd_now = [None]
+    for fn_name in ("_pk_counts", "_ChainIndex"):
+        def counting(inbox, *args, fn=getattr(protocols, fn_name), fn_name=fn_name):
+            built[fn_name, rnd_now[0], args, tuple(inbox)] += 1
+            return fn(inbox, *args)
+        monkeypatch.setattr(protocols, fn_name, counting)
+    make = factory_for(sc)
+
+    def factory(ctx):
+        inst = make(ctx)
+        deliver = inst.deliver
+        honest = ctx.node_id in sc.config.honest and type(ctx.signer) is simnet.Signer
+
+        def wrapped(rnd, inbox):
+            rnd_now[0] = rnd
+            if honest:
+                honest_boxes.setdefault(rnd, []).append(inbox)
+            else:
+                persona_views.append((rnd, inbox))
+            deliver(rnd, inbox)
+        inst.deliver = wrapped
+        return inst
+
+    run_simulation(sc, protocol=factory)
+    equal = 0
+    for rnd, view in persona_views:
+        same = [box for box in honest_boxes[rnd] if box == view]
+        if same:
+            equal += 1
+            assert any(box is view for box in same), rnd
+    assert equal
+    assert built and max(built.values()) == 1, [k[:3] for k, v in built.items() if v > 1]

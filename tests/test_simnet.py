@@ -1,6 +1,7 @@
 """Engine-level checks: payload codec, scenario files, determinism, ledger."""
 
 import gc
+import hashlib
 import json
 from fractions import Fraction
 
@@ -253,6 +254,27 @@ def test_ledger_mint_verify_and_audit():
     ledger.mint(3, "digest-c", adversarial=True)
     assert not ledger.honest_integrity(frozenset({3}))
     assert ledger.honest_integrity(frozenset({4}))
+
+
+def test_token_memo_is_the_formula_and_no_record_of_who_minted(monkeypatch):
+    # Tokens come from a process-wide memo, but what verifies is what this
+    # ledger minted: a token the memo holds proves nothing to a fresh ledger.
+    monkeypatch.setattr(simnet, "_TOKENS", {})
+    digest = simnet.payload_digest(("ds-link", 1, 0, ()))
+    formula = hashlib.sha256(f"3|{digest}".encode()).hexdigest()[:16]
+    first = SignatureLedger()
+    assert first.mint(3, digest) == formula  # cold memo
+    assert first.verify(formula, 3, digest)
+    fresh = SignatureLedger()
+    assert simnet._TOKENS and not fresh.verify(formula, 3, digest)
+    assert fresh.mint(3, digest) == formula  # warm memo
+    assert fresh.verify(formula, 3, digest)
+    assert not fresh.verify(formula, 4, digest)
+    adversarial = SignatureLedger()
+    assert adversarial.mint(3, digest, adversarial=True) == formula
+    assert not adversarial.honest_integrity(frozenset({3}))
+    assert adversarial.honest_integrity(frozenset({4}))
+    assert first.honest_integrity(frozenset({3})) and fresh.honest_integrity(frozenset({3}))
 
 
 def test_adversary_cannot_send_as_honest_node():
