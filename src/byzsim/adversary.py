@@ -362,7 +362,10 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
             (e["group"], e["senders"], set(e["receivers"]))
             for e in p.get("emission", [])
         ]
-        return _Personas(groups, overrides, emission, p.get("cutoff"), scenario)
+        cutoff = p.get("cutoff")
+        if cutoff is not None:
+            cutoff = field_int(cutoff, "persona cutoff")
+        return _Personas(groups, overrides, emission, cutoff, scenario)
 
     raise ValueError(f"unknown adversary strategy {name!r}")
 

@@ -31,8 +31,6 @@ import os
 import stat
 import sys
 import tempfile
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .core import MODES, as_alpha, check_alpha
@@ -134,8 +132,6 @@ def _json(doc) -> str:
 
 
 _I4, _I6, _I8, _I10, _I12, _I14 = (" " * k for k in (4, 6, 8, 10, 12, 14))
-_TO = itemgetter(0)
-_PAYLOAD = itemgetter(1)
 
 
 def _transcript_chunks(transcripts) -> Iterator[str]:
@@ -147,17 +143,20 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
     without building that document or any node's text. Every payload string
     is escaped once, with the encoder json.dumps itself uses.
 
-    A sent entry's text depends only on its (to, payload) pair, so each run
-    of consecutive entries with one payload is rendered with a single
-    str.join over the receiver ids; a broadcast is one run. The run is a
-    piece of its own and is not copied into a larger string.
+    A sent entry (receivers, payload) stands for one {"payload", "to"}
+    object per receiver, so its text is rendered with a single str.join
+    over the receiver ids. That text is a piece of its own and is not
+    copied into a larger string. An entry equal to the previous node's
+    entry at the same place in the same round (the same receivers object,
+    an equal payload) is not rendered again; its text is yielded as the
+    one shared string.
 
     A received list equal to the previous node's list of the same round is
     not rendered again, and its rendering is yielded as the one shared
     string. Nodes that were handed the same inbox share one received list
     object (RoundLog.received), which only needs an identity check; the
-    lists are only read here. The memo keeps one list per round, so memory
-    stays bounded when inboxes differ.
+    lists are only read here. Both memos keep one node per round, so memory
+    stays bounded when nodes differ.
     """
     escaped = {}  # payload json -> its JSON string literal
 
@@ -183,6 +182,20 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
         return text
 
     close = f"\n{_I12}}}"
+    last_sent = {}  # round -> the previous node's [(receivers, payload, head, text)]
+
+    def sent(r):
+        prev = last_sent.get(r.round, ())
+        texts = []
+        for j, (to, pj) in enumerate(r.sent):
+            if j < len(prev) and prev[j][0] is to and prev[j][1] == pj:
+                texts.append(prev[j])
+                continue
+            head = f'{_I12}{{\n{_I14}"payload": {esc(pj)},\n{_I14}"to": '
+            texts.append((to, pj, head, (close + ",\n" + head).join(map(str, to))))
+        last_sent[r.round] = texts
+        return texts
+
     yield f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "transcripts": '
     if not transcripts:
         yield "[]\n}\n"
@@ -195,14 +208,14 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
         for j, r in enumerate(t.rounds):
             yield (",\n" if j else "[\n") + f'{_I8}{{\n{_I10}"received": '
             yield received(r)
-            if not r.sent:
+            texts = sent(r)
+            if not texts:
                 yield f',\n{_I10}"round": {r.round},\n{_I10}"sent": []\n{_I8}}}'
                 continue
             sep = f',\n{_I10}"round": {r.round},\n{_I10}"sent": [\n'
-            for pj, run in groupby(r.sent, _PAYLOAD):
-                head = f'{_I12}{{\n{_I14}"payload": {esc(pj)},\n{_I14}"to": '
+            for _, _, head, text in texts:
                 yield sep + head
-                yield (close + ",\n" + head).join(map(str, map(_TO, run)))
+                yield text
                 sep = close + ",\n"
             yield f"{close}\n{_I10}]\n{_I8}}}"
         yield f"\n{_I6}]\n{_I4}}}"
@@ -257,6 +270,10 @@ def _parse_adversaries(text: Optional[str]):
 
 
 def cmd_simulate(args) -> int:
+    record = args.transcripts is not None
+    if record and args.out is not None and \
+            os.path.realpath(args.out) == os.path.realpath(args.transcripts):
+        raise UsageError(f"--out and --transcripts name one file: {args.transcripts}")
     try:
         with open(args.scenario) as fh:
             doc = json.load(fh)
@@ -274,7 +291,6 @@ def cmd_simulate(args) -> int:
     except _MALFORMED as exc:
         raise UsageError(f"invalid scenario: {type(exc).__name__}: {exc}") from None
 
-    record = args.transcripts is not None
     with contextlib.ExitStack() as files:
         write_out = files.enter_context(_output(args.out))
         if record:

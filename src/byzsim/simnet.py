@@ -49,7 +49,6 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import Configuration, check_alpha, check_mode
@@ -79,11 +78,24 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(x):
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _canonical(x) -> str:
+    """payload_to_json's text for x, built in one pass: the bytes
+    json.dumps gives for x with tuples as arrays, minified and ASCII-only."""
     if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (str, int, type(None))):
-        return x
+        return "[" + ",".join(map(_canonical, x)) + "]"
+    if isinstance(x, str):
+        return _ESCAPE(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x is None:
+        return "null"
     raise TypeError(f"payload element {x!r} is not wire-encodable")
 
 
@@ -94,8 +106,11 @@ def _tupled(x):
 
 
 def payload_to_json(payload) -> str:
-    """Canonical JSON form of a payload (tuples rendered as arrays)."""
-    return json.dumps(_jsonable(payload), separators=(",", ":"), sort_keys=True)
+    """Canonical JSON form of a payload (tuples rendered as arrays).
+
+    Tracing hooks this module global, so _canonical recurses on itself and
+    every encoding is one call here."""
+    return _canonical(payload)
 
 
 def payload_from_json(text: str):
@@ -321,11 +336,15 @@ class Scenario:
 
 def field_int(value, what: str) -> int:
     """int(value) for a number read from a scenario file; one that is no
-    integer, such as Infinity, raises ValueError naming the field."""
+    integer, such as Infinity, 2.5 or a string, raises ValueError naming
+    the field."""
     try:
-        return int(value)
+        number = int(value)
     except (OverflowError, TypeError, ValueError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def field_items(value, what: str):
@@ -353,7 +372,10 @@ class Outcome:
 @dataclass
 class RoundLog:
     round: int
-    sent: list  # (receiver, canonical payload json)
+    # (receivers, canonical payload json), one entry per message sent with
+    # at least one receiver: receivers is the sorted receiver tuple, one
+    # object shared by every entry of the round with the same receivers.
+    sent: list
     # (sender, canonical payload json). Read-only: nodes handed the same
     # inbox in a round share one list.
     received: list
@@ -370,7 +392,8 @@ class Transcript:
             "rounds": [
                 {
                     "round": r.round,
-                    "sent": [{"to": to, "payload": p} for to, p in r.sent],
+                    "sent": [{"to": to, "payload": p}
+                             for receivers, p in r.sent for to in receivers],
                     "received": [{"from": frm, "payload": p} for frm, p in r.received],
                 }
                 for r in self.rounds
@@ -388,18 +411,26 @@ _BY_SENDER = operator.itemgetter(0)
 def _log_round(logs, rnd, honest_msgs, inboxes):
     """Append round rnd's RoundLog to logs (honest id -> its RoundLogs).
 
-    Each payload object is encoded once, and every entry that carries it
-    shares the string. Nodes handed the same inbox list share one received
-    list. The memos key on id(): the caller keeps honest_msgs and inboxes
-    alive for the whole call, so no id is reused.
+    Each message is one sent entry, and each payload object is encoded
+    once: every entry that carries it shares the string. Each distinct
+    receiver tuple is sorted once, and its entries share the sorted tuple.
+    A message to no one is not logged. Nodes handed the same inbox list
+    share one received list. The memos key on id(): the caller keeps
+    honest_msgs and inboxes alive for the whole call, so no id is reused.
     """
     encoded = {}
+    ordered = {}  # receiver tuple -> the same ids sorted
     sent = {i: [] for i in logs}
     for sender, receivers, payload in honest_msgs:
+        if not receivers:
+            continue
         pj = encoded.get(id(payload))
         if pj is None:
             pj = encoded[id(payload)] = payload_to_json(payload)
-        sent[sender].extend(zip(sorted(receivers), repeat(pj)))
+        to = ordered.get(receivers)
+        if to is None:
+            to = ordered[receivers] = tuple(sorted(receivers))
+        sent[sender].append((to, pj))
     heard = {}  # id(inbox) -> its received list
     for i, log in logs.items():
         box = inboxes[i]

@@ -86,6 +86,13 @@ def test_simulate_missing_file_is_usage_error(tmp_path, capsys):
     assert "byzsim: error:" in capsys.readouterr().err
 
 
+def _persona_with_cutoff(cutoff):
+    return {"name": "persona_network", "params": {
+        "groups": {"w": {"6": {"input": 0, "pred": None}}},
+        "emission": [{"group": "w", "senders": None, "receivers": [1, 2, 3, 4, 5]}],
+        "cutoff": cutoff}}
+
+
 # Each entry patches a valid scenario file. Faults in the document's fields,
 # such as a bad schema_version or a protocol in the wrong mode
 # (auth_phase_king), show in Scenario.from_json; the others show when the
@@ -130,6 +137,10 @@ _MALFORMED = {
             "emission": [{"group": "x", "senders": [6], "receivers": [1]}]}}},
     "persona_input_not_a_bit": {"adversary": {"name": "replay_honest",
                                               "params": {"input": 2}}},
+    "string_cutoff": {"adversary": _persona_with_cutoff("3")},
+    "list_cutoff": {"adversary": _persona_with_cutoff([3])},
+    "fractional_cutoff": {"adversary": _persona_with_cutoff(2.5)},
+    "fractional_seed": {"seed": 2.5},
 }
 
 
@@ -221,7 +232,7 @@ def test_transcript_writer_renders_each_nodes_received_list():
     # Neighbours with unequal lists in one round, then a list equal to an
     # earlier but not the previous node's.
     heard = [[(3, '"a"')], [(3, '"b"'), (4, '"a"')], [(3, '"a"')], [(3, '"a"')]]
-    ts = [Transcript(node=k, rounds=[RoundLog(round=1, sent=[(5, '"x"')], received=r),
+    ts = [Transcript(node=k, rounds=[RoundLog(round=1, sent=[((5,), '"x"')], received=r),
                                      RoundLog(round=2, sent=[], received=heard[0])])
           for k, r in enumerate(heard, start=1)]
     assert "".join(cli._transcript_chunks(ts)) == _dumps(ts)
@@ -252,6 +263,30 @@ def test_transcript_writer_escapes_payload_strings():
     assert "".join(cli._transcript_chunks(transcripts)) == _dumps(transcripts)
 
 
+class _AddressedOddly:
+    """Sends one message to no one and one naming id 2 twice, then decides."""
+
+    def __init__(self, ctx):
+        self.decision = None
+
+    def outbox(self, rnd):
+        return [((), ("nobody", rnd)), ([2, 1, 2], ("twice", rnd))]
+
+    def deliver(self, rnd, inbox):
+        self.decision = 0
+
+
+def test_transcripts_log_each_message_once_with_its_sorted_receivers():
+    # A message to no one leaves no entry; a receiver named twice is listed twice.
+    sc = _small("phase_king", "nonauth", silent(), n=4)
+    _, transcripts = run_simulation(sc, protocol=_AddressedOddly)
+    assert [r.sent for t in transcripts for r in t.rounds] == [[((1, 2, 2), '["twice",1]')]] * 2
+    assert len({id(to) for t in transcripts for r in t.rounds for to, _ in r.sent}) == 1
+    assert transcripts[0].to_json()["rounds"][0]["sent"] == [
+        {"to": to, "payload": '["twice",1]'} for to in (1, 2, 2)]
+    assert "".join(cli._transcript_chunks(transcripts)) == _dumps(transcripts)
+
+
 def _fresh(text):
     """An equal string in a new object."""
     return text[:1] + text[1:]
@@ -261,14 +296,25 @@ def _fresh(text):
 def _hand_built_transcripts(draw):
     payloads = draw(st.lists(st.text(max_size=6).map(json.dumps), min_size=1, max_size=4))
     ids = st.integers(1, 999)
+    # Sorted receiver tuples, a receiver possibly named twice; each tuple is
+    # one object shared by the entries that draw it, as in a logged round.
+    tos = draw(st.lists(st.lists(ids, min_size=1, max_size=4).map(sorted).map(tuple),
+                        min_size=1, max_size=3))
 
-    def sent():
+    def sent(prev):
         entries = []
-        for pj, tos in draw(st.lists(st.tuples(st.sampled_from(payloads),
-                                               st.lists(ids, min_size=1, max_size=4)),
-                                     max_size=4)):
-            fresh = draw(st.booleans())
-            entries += [(to, _fresh(pj) if fresh else pj) for to in tos]
+        for j in range(draw(st.integers(0, 4))):
+            how = "other"
+            if j < len(prev):
+                how = draw(st.sampled_from(("same", "fresh_payload", "fresh_to", "other")))
+            if how == "same":
+                entries.append(prev[j])
+            elif how == "fresh_payload":
+                entries.append((prev[j][0], _fresh(prev[j][1])))
+            elif how == "fresh_to":
+                entries.append((tuple(list(prev[j][0])), prev[j][1]))
+            else:
+                entries.append((draw(st.sampled_from(tos)), draw(st.sampled_from(payloads))))
         return entries
 
     def received(prev):
@@ -279,12 +325,14 @@ def _hand_built_transcripts(draw):
             return [(s, _fresh(pj)) for s, pj in prev]
         return draw(st.lists(st.tuples(ids, st.sampled_from(payloads)), max_size=4))
 
-    last, transcripts = {}, []  # round -> the previous node's received list
+    # round -> the previous node's sent and received lists
+    last_sent, last, transcripts = {}, {}, []
     for node in draw(st.lists(ids, max_size=4)):
         rounds = []
         for rnd in range(1, draw(st.integers(0, 3)) + 1):
+            last_sent[rnd] = sent(last_sent.get(rnd, []))
             last[rnd] = received(last.get(rnd))
-            rounds.append(RoundLog(round=rnd, sent=sent(), received=last[rnd]))
+            rounds.append(RoundLog(round=rnd, sent=last_sent[rnd], received=last[rnd]))
         transcripts.append(Transcript(node=node, rounds=rounds))
     return transcripts
 
@@ -523,6 +571,18 @@ def test_empty_transcripts_path_is_a_usage_error_before_the_run(scenario_file, m
     monkeypatch.setattr(cli, "run_simulation", _never)
     assert cli.main(["simulate", "--scenario", str(scenario_file), "--transcripts", ""]) == 2
     assert capsys.readouterr() == ("", "byzsim: error: cannot write : No such file or directory\n")
+
+
+@pytest.mark.parametrize("spelling", ["x.json", "./x.json"])
+def test_out_and_transcripts_naming_one_file_is_a_usage_error_before_the_run(
+        spelling, scenario_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", _never)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--scenario", str(scenario_file),
+                     "--out", "x.json", "--transcripts", spelling]) == 2
+    assert capsys.readouterr() == (
+        "", f"byzsim: error: --out and --transcripts name one file: {spelling}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [scenario_file.name]
 
 
 @pytest.mark.parametrize("command", list(_OUTPUTS))

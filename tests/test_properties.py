@@ -1,7 +1,9 @@
 """Property checks over the pure helpers (codec, curves, generators)."""
 
+import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzsim.core import (
@@ -26,6 +28,59 @@ payloads = st.recursive(
 @given(payloads)
 def test_payload_codec_round_trips(payload):
     assert payload_from_json(payload_to_json(payload)) == payload
+
+
+def _jsonable(x):
+    if isinstance(x, tuple):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (str, int, type(None))):
+        return x
+    raise TypeError(f"payload element {x!r} is not wire-encodable")
+
+
+def _reference(payload) -> str:
+    """The canonical form as json.dumps writes it."""
+    return json.dumps(_jsonable(payload), separators=(",", ":"), sort_keys=True)
+
+
+# Strings that need escapes: quotes, backslashes, control characters, non-ASCII.
+_ODD_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u2603\U0001f600az'),
+                    max_size=6) | st.text(max_size=6)
+wire_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | _ODD_TEXT,
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300)
+@given(wire_payloads)
+def test_payload_encoder_matches_json_dumps(payload):
+    text = payload_to_json(payload)
+    assert text == _reference(payload)
+    assert payload_from_json(text) == payload
+
+
+@st.composite
+def payloads_with_one_bad_element(draw):
+    bad = draw(st.floats() | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+               | st.binary(max_size=3))
+    payload = bad
+    for _ in range(draw(st.integers(0, 4))):
+        left = draw(st.lists(wire_payloads, max_size=2))
+        right = draw(st.lists(wire_payloads, max_size=2))
+        payload = (*left, payload, *right)
+    return payload
+
+
+@given(payloads_with_one_bad_element())
+def test_payload_encoder_rejects_what_json_dumps_would_not_get(payload):
+    with pytest.raises(TypeError) as expected:
+        _reference(payload)
+    with pytest.raises(TypeError) as got:
+        payload_to_json(payload)
+    assert str(got.value) == str(expected.value)
 
 
 def _alphas(mode):

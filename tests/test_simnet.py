@@ -204,8 +204,9 @@ def test_transcripts_encode_each_payload_once_per_round(monkeypatch):
 
     keys = [(rnd, id(payload)) for rnd, payload in calls]
     assert len(set(keys)) == len(keys)
-    entries = [(r.round, pj) for t in transcripts for r in t.rounds
-               for _, pj in r.sent + r.received]
+    # The entries of the transcript document: one per receiver of a sent message.
+    entries = [(r["round"], e["payload"]) for t in transcripts for r in t.to_json()["rounds"]
+               for e in r["sent"] + r["received"]]
     assert {(rnd, encode(payload)) for rnd, payload in calls} == set(entries)
     assert 10 * len(calls) < len(entries)
 
