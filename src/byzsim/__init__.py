@@ -4,9 +4,10 @@ The package splits into exact math (:mod:`byzsim.core`), the round engine
 and scenario format (:mod:`byzsim.simnet`), the two classic inner protocols
 (:mod:`byzsim.protocols`), the prediction-augmented wrappers
 (:mod:`byzsim.predba`), the adversary library and impossibility scenario
-builders (:mod:`byzsim.adversary`), prediction generators
-(:mod:`byzsim.predgen`), the experiment batteries (:mod:`byzsim.harness`),
-and the ``byzsim`` command line (:mod:`byzsim.cli`).
+builders (:mod:`byzsim.adversary`), the protocol registry
+(:mod:`byzsim.registry`), the experiment batteries and exact-error
+predictions (:mod:`byzsim.harness`), and the ``byzsim`` command line
+(:mod:`byzsim.cli`).
 
 Only the names the README's quick tour imports are re-exported here.
 Everything else is imported from the module that owns it, e.g.

@@ -180,13 +180,14 @@ class _Personas(AdversaryStrategy):
         # The spec is checked here, where it is materialized, so a bad one
         # fails before any run starts.
         faulty = scenario.config.faulty
-        if scenario.mode == "auth":
-            for members in groups.values():
-                for node in members:
-                    if node not in faulty:
-                        raise ForgeryError(
-                            f"auth mode: cannot run an instance of honest node {node} "
-                            f"without forging its signatures")
+        for members in groups.values():
+            for node in members:
+                if not 1 <= node <= scenario.n:
+                    raise ValueError(f"persona of node {node} outside 1..{scenario.n}")
+                if scenario.mode == "auth" and node not in faulty:
+                    raise ForgeryError(
+                        f"auth mode: cannot run an instance of honest node {node} "
+                        f"without forging its signatures")
         self._emit_rules = []
         for g, senders, receivers in emission:
             pick = tuple(sorted(senders if senders is not None else groups[g]))
@@ -321,12 +322,12 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         return _Noise(field_int(p.get("seed", 0), "noise seed"))
 
     if name == "crash_after":
-        inputs = {int(k): _bit(v)
-                  for k, v in field_items(p.get("inputs") or {}, "crash inputs")}
+        p = crash_after(field_int(p["round"], "crash round"),
+                        dict(field_items(p.get("inputs") or {}, "crash inputs"))).params
+        inputs = {int(k): _bit(v) for k, v in p["inputs"].items()}
         groups = {"w": {c: (inputs.get(c, 0), None) for c in faulty}}
         emission = [("w", None, set(honest))]
-        return _Personas(groups, [], emission, field_int(p["round"], "crash round"),
-                         scenario)
+        return _Personas(groups, [], emission, p["round"], scenario)
 
     if name == "replay_honest":
         pred = frozenset(p["pred"]) if p.get("pred") is not None else None
@@ -334,6 +335,7 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         return _Personas(groups, [], [("w", None, set(honest))], None, scenario)
 
     if name == "split_brain":
+        p = split_brain((p["a"], p["b"]), p["value_a"], p["value_b"], p.get("pred")).params
         a_side, b_side = set(p["a"]), set(p["b"])
         if not (a_side <= honest and b_side <= honest):
             raise ValueError("split_brain partition sides must be honest subsets")

@@ -27,7 +27,6 @@ import time
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import predgen
 from .adversary import (
     build_impossibility_scenarios,
     crash_after,
@@ -152,26 +151,26 @@ def build_eta_prediction(config: Configuration, eta: int, split: str) -> frozens
     """A global prediction whose total error is exactly eta.
 
     worst_case loads the error onto the faulty side first (mispredicted
-    faults), inverse onto the honest side first (missed honest nodes),
-    balanced splits it as evenly as the set sizes allow.
+    faults) and takes the lowest ids; inverse loads it onto the honest side
+    first (missed honest nodes), balanced splits it as evenly as the set
+    sizes allow, and both draw the faulty ids, then the honest ones, from
+    random.Random(0).
     """
-    f, h = len(config.faulty), len(config.honest)
+    faulty, honest = sorted(config.faulty), sorted(config.honest)
     if not 0 <= eta <= config.n:
         raise ValueError(f"eta {eta} out of range for n={config.n}")
     if split == "worst_case":
-        return predgen.worst_case(config, eta)
+        eta_f = min(eta, len(faulty))
+        return frozenset(faulty[:eta_f]) | (config.honest - set(honest[:eta - eta_f]))
     if split == "inverse":
-        eta_h = min(eta, h)
-        eta_f = eta - eta_h
+        eta_h = min(eta, len(honest))
     elif split == "balanced":
-        eta_f = min(eta // 2, f)
-        eta_h = min(eta - eta_f, h)
-        eta_f = eta - eta_h
+        eta_h = min(eta - min(eta // 2, len(faulty)), len(honest))
     else:
         raise ValueError(f"unknown eta split {split!r}")
-    if eta_f > f:
-        raise ValueError(f"cannot place eta_F={eta_f} errors on {f} faulty nodes")
-    return predgen.with_error(config, eta_f, eta_h, seed=0)
+    rng = random.Random(0)
+    wrong = rng.sample(faulty, eta - eta_h)
+    return frozenset(wrong) | (config.honest - set(rng.sample(honest, eta_h)))
 
 
 def check_outcome(scenario: Scenario, outcome: Outcome) -> dict:

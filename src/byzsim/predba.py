@@ -36,7 +36,6 @@ from .simnet import once_per_inbox
 class ActiveSet:
     members: tuple
     fault_param: int  # t
-    min_size: int  # smallest integer size satisfying the threshold
 
 
 def build_active_set(prediction, alpha, n: int, mode: str) -> ActiveSet:
@@ -73,11 +72,7 @@ def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
         t = math.ceil(Fraction(len(members), 3))
     else:
         t = math.ceil(Fraction(len(members), 2))
-    return ActiveSet(
-        members=tuple(sorted(members)),
-        fault_param=t,
-        min_size=max(0, math.ceil(threshold)),
-    )
+    return ActiveSet(members=tuple(sorted(members)), fault_param=t)
 
 
 class _WrapperBase:

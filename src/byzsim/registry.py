@@ -14,14 +14,23 @@ import math
 
 from .predba import AuthPredBA, PredBA
 from .protocols import DolevStrongBA, DolevStrongBroadcast, PhaseKing
-from .simnet import NodeCtx
+from .simnet import NodeCtx, field_int
+
+
+def _node_id(ctx: NodeCtx, value, what: str) -> int:
+    """A node id read from scenario params: an integer in 1..n."""
+    node = field_int(value, what)
+    if not 1 <= node <= ctx.n:
+        raise ValueError(f"{what} must lie in 1..{ctx.n}, got {node}")
+    return node
 
 
 def _group(ctx: NodeCtx, resilience: int):
     """Participants and budget t: by default everyone, at the largest t with
     resilience * t < len(group)."""
     p = ctx.params.get("participants")
-    group = tuple(sorted(p)) if p else tuple(range(1, ctx.n + 1))
+    group = (tuple(sorted(_node_id(ctx, i, "participant") for i in p)) if p
+             else tuple(range(1, ctx.n + 1)))
     t = ctx.params.get("t", math.ceil(len(group) / resilience) - 1)
     if type(t) is not int:
         raise ValueError(f"budget t must be an integer, got {t!r}")
@@ -30,7 +39,7 @@ def _group(ctx: NodeCtx, resilience: int):
 
 def _dolev_strong_broadcast(ctx: NodeCtx):
     group, t = _group(ctx, 2)
-    sender = ctx.params.get("sender", group[0])
+    sender = _node_id(ctx, ctx.params.get("sender", group[0]), "sender")
     return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
 
 

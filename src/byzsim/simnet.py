@@ -28,9 +28,8 @@ once the round budget 4*(n+2) is exhausted.
 
 Payloads are plain tuples of ints, strings, None and nested tuples. On the
 wire (transcripts, scenario files) a payload is rendered canonically as
-minified JSON with tuples as arrays; the documented byte form is a 4-byte
-big-endian length prefix followed by that JSON in UTF-8. Two runs of the
-same (scenario, seed) produce byte-identical transcripts.
+minified JSON with tuples as arrays. Two runs of the same (scenario, seed)
+produce byte-identical transcripts.
 
 Signatures are modeled by an append-only ledger. mint(signer, digest)
 returns a deterministic token (sha256 of signer and digest, truncated); the
@@ -115,12 +114,6 @@ def payload_to_json(payload) -> str:
 
 def payload_from_json(text: str):
     return _tupled(json.loads(text))
-
-
-def payload_to_bytes(payload) -> bytes:
-    """Documented wire form: 4-byte big-endian length + canonical JSON."""
-    body = payload_to_json(payload).encode("utf-8")
-    return len(body).to_bytes(4, "big") + body
 
 
 def payload_digest(payload) -> str:
@@ -316,7 +309,9 @@ class Scenario:
             alpha = Fraction(alpha)
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"alpha must be a finite fraction, got {alpha!r}") from None
-        adv = doc.get("adversary") or {"name": "silent", "params": {}}
+        adv = doc.get("adversary")
+        if adv is None:
+            adv = {"name": "silent", "params": {}}
         if not isinstance(adv, Mapping):
             raise ValueError(f"adversary must be a JSON object, got {adv!r}")
         params = adv.get("params", {})

@@ -141,6 +141,21 @@ _MALFORMED = {
     "list_cutoff": {"adversary": _persona_with_cutoff([3])},
     "fractional_cutoff": {"adversary": _persona_with_cutoff(2.5)},
     "fractional_seed": {"seed": 2.5},
+    **{f"{name}_sender": {"mode": "auth", "protocol": "dolev_strong_broadcast",
+                          "prediction": None, "params": {"sender": sender}}
+       for name, sender in (("list", [1]), ("object", {}), ("string", "1"),
+                            ("fractional", 1.5), ("zero", 0))},
+    "fractional_participant": {"mode": "auth", "protocol": "dolev_strong_broadcast",
+                               "prediction": None,
+                               "params": {"participants": [1, 2, 3, 4.5]}},
+    **{f"{name}_adversary": {"adversary": adversary}
+       for name, adversary in (("empty_list", []), ("empty_object", {}), ("zero", 0),
+                               ("false", False), ("empty_string", ""))},
+    "negative_crash_round": {"adversary": {"name": "crash_after", "params": {"round": -1}}},
+    "overlapping_split_brain_sides": {"adversary": {"name": "split_brain", "params": {
+        "a": [1, 2], "b": [2, 3], "value_a": 0, "value_b": 1, "pred": None}}},
+    "persona_member_outside_n": {"adversary": {"name": "persona_network", "params": {
+        "groups": {"w": {"9": {"input": 0, "pred": None}}}}}},
 }
 
 
@@ -677,3 +692,40 @@ def test_simulate_fuzzed_scenario_exits_zero_or_two(data):
             rc = cli.main(["simulate", "--scenario", scenario,
                            "--out", os.path.join(tmp, "out.json")])
     assert rc in (0, 2), err.getvalue()
+
+
+def _single_mutations(doc):
+    """Every document one mutation away from doc: any value (a leaf or a
+    whole subtree) replaced by each _WRONG and each _OUT_OF_RANGE value,
+    and any key dropped or renamed to an id outside 1..n."""
+    text = json.dumps(doc)
+    for path in _paths(doc):
+        *head, key = path
+        for value in _WRONG + _OUT_OF_RANGE:
+            mutated = json.loads(text)
+            functools.reduce(operator.getitem, head, mutated)[key] = value
+            yield path, mutated
+        if isinstance(functools.reduce(operator.getitem, head, doc), dict):
+            for new_key in (None, "0", "-1", "7", "99"):
+                mutated = json.loads(text)
+                parent = functools.reduce(operator.getitem, head, mutated)
+                value = parent.pop(key)
+                if new_key is not None:
+                    parent[new_key] = value
+                yield path, mutated
+
+
+def test_simulate_every_single_mutation_exits_zero_or_two():
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "scenario.json")
+        for base in _FUZZ_BASES:
+            for path, doc in _single_mutations(base):
+                with open(scenario, "w") as fh:
+                    fh.write(json.dumps(doc))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    rc = cli.main(["simulate", "--scenario", scenario])
+                if rc not in (0, 2):
+                    failures.append((path, err.getvalue().strip()))
+    assert not failures, (len(failures), failures[:5])

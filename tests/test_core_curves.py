@@ -247,6 +247,13 @@ def test_local_error_sum():
         compute_local_error(cfg, {1: frozenset()})
 
 
+def test_local_constant_vector_matches_global_error():
+    cfg = Configuration(10, frozenset({8, 9, 10}), {i: 0 for i in range(1, 8)})
+    p = frozenset(range(1, 11))  # trusts all three faulty ids
+    vec = {i: p for i in range(1, 11)}
+    assert compute_local_error(cfg, vec) == len(cfg.honest) * compute_error(cfg, p).total == 21
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         Configuration(n=4, faulty=frozenset({5}), inputs={1: 0, 2: 0, 3: 0, 4: 0})

@@ -18,9 +18,12 @@ from byzsim.core import (
 )
 from byzsim.harness import (
     CURVE_FIELDS,
+    ETA_SPLITS,
+    FLAGSHIPS,
     GRID_ALPHAS,
     IMPOSSIBILITY_POINTS,
     LIBRARY,
+    PLACEMENTS,
     SWEEP_FIELDS,
     RunCache,
     adversary_set_hash,
@@ -125,12 +128,25 @@ def test_make_inputs_patterns():
         make_inputs(hs, "alternating", rng)
 
 
+# (eta_F, eta_H) of each split at n = 10 with faulty ids {8, 9, 10}
+_ETA_BUDGETS = {
+    "worst_case": {0: (0, 0), 1: (1, 0), 3: (3, 0), 5: (3, 2), 8: (3, 5), 10: (3, 7)},
+    "inverse": {0: (0, 0), 1: (0, 1), 3: (0, 3), 5: (0, 5), 8: (1, 7), 10: (3, 7)},
+    "balanced": {0: (0, 0), 1: (0, 1), 3: (1, 2), 5: (2, 3), 8: (3, 5), 10: (3, 7)},
+}
+
+
 @pytest.mark.parametrize("split", ["worst_case", "inverse", "balanced"])
-@pytest.mark.parametrize("eta", [0, 1, 3, 5, 8])
+@pytest.mark.parametrize("eta", [0, 1, 3, 5, 8, 10])
 def test_build_eta_prediction_total_is_exact(split, eta):
     cfg = _config(n=10, f=3)
     pred = build_eta_prediction(cfg, eta, split)
-    assert compute_error(cfg, pred).total == eta
+    err = compute_error(cfg, pred)
+    assert err.total == eta
+    assert (err.eta_F, err.eta_H) == _ETA_BUDGETS[split][eta]
+    assert pred == build_eta_prediction(cfg, eta, split)
+    if eta == 0:
+        assert pred == cfg.honest
 
 
 def test_build_eta_prediction_split_shapes():
@@ -141,10 +157,15 @@ def test_build_eta_prediction_split_shapes():
     assert (wc.eta_F, wc.eta_H) == (3, 1)
     assert (inv.eta_F, inv.eta_H) == (0, 4)
     assert (bal.eta_F, bal.eta_H) == (2, 2)
-    with pytest.raises(ValueError):
-        build_eta_prediction(cfg, 11, "worst_case")
-    with pytest.raises(ValueError):
-        build_eta_prediction(cfg, 2, "sideways")
+    # worst_case trusts the lowest faulty ids and misses the lowest honest ones
+    assert frozenset({8, 9}) <= build_eta_prediction(cfg, 2, "worst_case")
+    assert build_eta_prediction(cfg, 5, "worst_case") == (
+        frozenset({8, 9, 10}) | (frozenset(range(1, 8)) - {1, 2}))
+    assert build_eta_prediction(cfg, cfg.n, "worst_case") == cfg.faulty
+    for eta, split in ((11, "worst_case"), (-1, "worst_case"), (-1, "inverse"),
+                       (11, "balanced"), (2, "sideways")):
+        with pytest.raises(ValueError):
+            build_eta_prediction(cfg, eta, split)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +380,8 @@ _DIGESTS = {
         "2d2b61eb234431e264fff569ab513dc3d4d07836ccd4b87472d6949d59728152",
     "persona_views":
         "b50458441c1708adeddf5476289bb2ff085642407ef68733058b59b23c1923ca",
+    "eta_predictions":
+        "6bca9dc0b05d7bc45db813f696cd5c3622ebab81eeb50030f62ec0e19d03a881",
     "consistency":
         "f45cca98dc409c6e1f22b28bef06102df8db50d06c92c44df5b08bdf382ef206",
     "robustness":
@@ -457,6 +480,23 @@ def _persona_view_runs() -> str:
     return _runs_json(scenarios)
 
 
+def _eta_predictions() -> str:
+    """Every exact-error prediction of every split on both flagships, with
+    f = theoretical_smoothness(eta) faulty ids in each placement."""
+    rng = random.Random(0)
+    picks = []
+    for mode, alpha, n in FLAGSHIPS:
+        for eta in range(n + 1):
+            f = theoretical_smoothness(mode, alpha, n, eta)
+            for placement in PLACEMENTS:
+                faulty = make_faulty(n, f, placement, rng)
+                config = Configuration(n, faulty, dict.fromkeys(
+                    sorted(set(range(1, n + 1)) - faulty), 0))
+                picks.extend(sorted(build_eta_prediction(config, eta, split))
+                             for split in ETA_SPLITS)
+    return json.dumps(picks, separators=(",", ":"))
+
+
 def _runs_json(scenarios) -> str:
     docs = []
     for sc in scenarios:
@@ -471,6 +511,7 @@ _SLICES = {
     "transcripts": _transcript_runs,
     "dolev_strong": _dolev_strong_runs,
     "persona_views": _persona_view_runs,
+    "eta_predictions": _eta_predictions,
     "consistency": lambda: verify_consistency(seeds=3, grid=_SMALL_GRID),
     "robustness": lambda: verify_robustness(seeds=4, grid=_SMALL_GRID),
     "smoothness": lambda: verify_smoothness(flagships=_N10_FLAGSHIPS, seeds=2,

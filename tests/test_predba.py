@@ -35,7 +35,6 @@ def test_active_set_pads_around_existing_members():
     aset = build_active_set({3, 7}, Fraction(4, 5), 20, "nonauth")
     assert aset.members == (1, 2, 3, 4, 7)
     assert aset.fault_param == 2
-    assert aset.min_size == 5
 
 
 def test_active_set_large_prediction_taken_as_is():
@@ -71,7 +70,7 @@ def test_active_set_rejects_foreign_ids():
 def test_active_set_is_pure():
     a = build_active_set({3, 7}, Fraction(4, 5), 20, "nonauth")
     b = build_active_set({3, 7}, Fraction(4, 5), 20, "nonauth")
-    assert a == b == ActiveSet(a.members, a.fault_param, a.min_size)
+    assert a == b == ActiveSet(a.members, a.fault_param)
     assert 3 in a.members and 5 not in a.members
 
 

@@ -1,4 +1,4 @@
-"""Property checks over the pure helpers (codec, curves, generators)."""
+"""Property checks over the pure helpers (codec, curves, exact-error predictions)."""
 
 import json
 from fractions import Fraction
@@ -14,8 +14,8 @@ from byzsim.core import (
     theoretical_impossibility,
     theoretical_smoothness,
 )
+from byzsim.harness import ETA_SPLITS, build_eta_prediction
 from byzsim.predba import build_active_set
-from byzsim.predgen import with_error, worst_case
 from byzsim.simnet import payload_from_json, payload_to_json
 
 payloads = st.recursive(
@@ -131,35 +131,31 @@ def test_impossibility_curve_dominates_where_unconditional(point):
 
 
 @st.composite
-def error_splits(draw):
+def eta_predictions(draw):
     n = draw(st.integers(min_value=1, max_value=24))
     f = draw(st.integers(min_value=0, max_value=n))
     faulty = frozenset(draw(st.permutations(range(1, n + 1)))[:f])
     honest = set(range(1, n + 1)) - faulty
-    cfg = Configuration(n, faulty, {i: 0 for i in honest})
-    eta_f = draw(st.integers(min_value=0, max_value=f))
-    eta_h = draw(st.integers(min_value=0, max_value=n - f))
-    seed = draw(st.integers(min_value=0, max_value=2**32))
-    return cfg, eta_f, eta_h, seed
+    return Configuration(n, faulty, {i: 0 for i in honest}), draw(st.sampled_from(ETA_SPLITS))
 
 
-@given(error_splits())
+@given(eta_predictions())
 @settings(deadline=None)
-def test_with_error_budget_always_exact(case):
-    cfg, eta_f, eta_h, seed = case
-    err = compute_error(cfg, with_error(cfg, eta_f, eta_h, seed))
-    assert (err.eta_F, err.eta_H) == (eta_f, eta_h)
-
-
-@given(error_splits())
-@settings(deadline=None)
-def test_worst_case_prefers_faulty_inclusions(case):
-    cfg, _, _, _ = case
+def test_eta_prediction_budget_always_exact(case):
+    cfg, split = case
     f, h = len(cfg.faulty), len(cfg.honest)
-    for eta in range(min(cfg.n, f + h) + 1):
-        err = compute_error(cfg, worst_case(cfg, eta))
-        assert err.eta_F == min(eta, f)
+    for eta in range(cfg.n + 1):
+        pred = build_eta_prediction(cfg, eta, split)
+        err = compute_error(cfg, pred)
+        assert pred <= set(range(1, cfg.n + 1))
         assert err.total == eta
+        assert err.eta_F == {"worst_case": min(eta, f),
+                             "inverse": max(0, eta - h),
+                             "balanced": min(max(eta // 2, eta - h), f)}[split]
+        if split == "worst_case":
+            # the lowest faulty ids are trusted, the lowest honest ids missed
+            assert pred == (set(sorted(cfg.faulty)[:err.eta_F])
+                            | set(sorted(cfg.honest)[err.eta_H:]))
 
 
 @st.composite
@@ -181,7 +177,6 @@ def test_active_set_invariants(case):
     assert pred <= members <= set(range(1, n + 1))
     assert len(aset.members) == len(members)
     assert list(aset.members) == sorted(members)
-    assert len(members) >= aset.min_size
     size, t = len(members), aset.fault_param
     if mode == "nonauth":
         assert 2 * size >= 3 * (1 - alpha) * n - 2

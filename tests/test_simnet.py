@@ -18,7 +18,6 @@ from byzsim.simnet import (
     Scenario,
     SignatureLedger,
     payload_from_json,
-    payload_to_bytes,
     payload_to_json,
     round_budget,
     run_simulation,
@@ -55,9 +54,6 @@ def test_payload_round_trip(payload):
     text = payload_to_json(payload)
     again = payload_from_json(text)
     assert payload_to_json(again) == text
-    # wire form: 4-byte big-endian length prefix, then the canonical JSON
-    body = text.encode()
-    assert payload_to_bytes(payload) == len(body).to_bytes(4, "big") + body
 
 
 def test_payload_canonical_is_stable():
