@@ -30,8 +30,8 @@ import random
 from typing import Mapping, Optional
 
 from .core import Configuration, check_alpha
-from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Inbox, Scenario,
-                     field_int, field_items)
+from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Inbox, Memo,
+                     Scenario, field_int, field_items, field_node)
 
 
 # ---------------------------------------------------------------------------
@@ -179,31 +179,33 @@ class _Personas(AdversaryStrategy):
         # emission: (group, senders-or-None, set(receivers))
         # The spec is checked here, where it is materialized, so a bad one
         # fails before any run starts.
-        faulty = scenario.config.faulty
+        faulty, n = scenario.config.faulty, scenario.n
         for members in groups.values():
             for node in members:
-                if not 1 <= node <= scenario.n:
-                    raise ValueError(f"persona of node {node} outside 1..{scenario.n}")
+                field_node(node, n, "persona id")
                 if scenario.mode == "auth" and node not in faulty:
                     raise ForgeryError(
                         f"auth mode: cannot run an instance of honest node {node} "
                         f"without forging its signatures")
         self._emit_rules = []
         for g, senders, receivers in emission:
-            pick = tuple(sorted(senders if senders is not None else groups[g]))
+            pick = tuple(sorted(field_node(s, n, "emission sender")
+                                for s in (senders if senders is not None else groups[g])))
             for s in pick:
                 if s not in faulty:
                     raise ForgeryError(
                         f"emission rule names honest node {s} as sender")
                 if s not in groups.get(g, ()):
                     raise ValueError(f"group {g!r} has no instance of node {s}")
-            self._emit_rules.append((g, pick, frozenset(receivers)))
+            self._emit_rules.append(
+                (g, pick, frozenset(field_node(r, n, "emission receiver") for r in receivers)))
         self.groups = groups
         self.feed_overrides = list(feed_overrides)
         self.cutoff = cutoff
         self._out = {}
         self._addressed = {}  # address tuple -> its interned frozenset
-        self._to = {}  # (interned address set, rule receivers) -> receiver tuple
+        # (interned address set, rule receivers) -> receiver tuple
+        self._to = Memo(lambda key: tuple(sorted(key[0] & key[1])))
 
     def begin(self, ctx):
         super().begin(ctx)
@@ -258,10 +260,7 @@ class _Personas(AdversaryStrategy):
         for g, pick, receivers in self._emit_rules:
             for s in pick:
                 for addressed, payload in self._out[(g, s)]:
-                    to = self._to.get((addressed, receivers))
-                    if to is None:
-                        to = self._to[addressed, receivers] = tuple(
-                            sorted(addressed & receivers))
+                    to = self._to[addressed, receivers]
                     if to:
                         result.append((s, to, payload))
         return result

@@ -44,7 +44,8 @@ from .harness import (
     sweep_to_csv,
 )
 from . import adversary
-from .simnet import SCHEMA_VERSION, ForgeryError, Scenario, ScenarioError, run_simulation
+from .simnet import (SCHEMA_VERSION, ForgeryError, Memo, Scenario, ScenarioError,
+                     run_simulation)
 
 # What parsing a malformed scenario document or adversary spec raises:
 # missing keys, wrong types, bad values, and an adversary asked to act for
@@ -158,13 +159,7 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
     lists are only read here. Both memos keep one node per round, so memory
     stays bounded when nodes differ.
     """
-    escaped = {}  # payload json -> its JSON string literal
-
-    def esc(pj):
-        text = escaped.get(pj)
-        if text is None:
-            text = escaped[pj] = json.encoder.encode_basestring_ascii(pj)
-        return text
+    esc = Memo(json.encoder.encode_basestring_ascii)  # payload json -> its string literal
 
     last = {}  # round -> (received list, its rendering)
 
@@ -174,7 +169,7 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
             return prev[1]
         if r.received:
             text = "[\n" + ",\n".join(
-                f'{_I12}{{\n{_I14}"from": {s},\n{_I14}"payload": {esc(pj)}\n{_I12}}}'
+                f'{_I12}{{\n{_I14}"from": {s},\n{_I14}"payload": {esc[pj]}\n{_I12}}}'
                 for s, pj in r.received) + f"\n{_I10}]"
         else:
             text = "[]"
@@ -191,7 +186,7 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
             if j < len(prev) and prev[j][0] is to and prev[j][1] == pj:
                 texts.append(prev[j])
                 continue
-            head = f'{_I12}{{\n{_I14}"payload": {esc(pj)},\n{_I14}"to": '
+            head = f'{_I12}{{\n{_I14}"payload": {esc[pj]},\n{_I14}"to": '
             texts.append((to, pj, head, (close + ",\n" + head).join(map(str, to))))
         last_sent[r.round] = texts
         return texts
@@ -253,9 +248,11 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_adversaries(text: Optional[str]):
-    if not text:
+    if text is None:
         return None
     names = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not names:
+        raise UsageError(f"--adversaries {text!r} names no adversary")
     unknown = [name for name in names if name not in LIBRARY]
     if unknown:
         raise UsageError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .simnet import once_per_inbox, payload_digest
+from .simnet import Memo, once_per_inbox, payload_digest
 
 
 def phase_king_rounds(t: int) -> int:
@@ -140,41 +140,13 @@ def _king_value(inbox, phase: int, king: int) -> int:
     return 0
 
 
-# Link digests are pure functions of (sender, value, signer prefix), so one
-# process-wide cache serves every node and run. Chains revalidate shared
-# prefixes constantly; without the cache the JSON canonicalization inside
-# payload_digest dominates long-chain rounds.
-_LINK_DIGESTS = {}
-
-
-def _link_digest(sender, value: int, signers: tuple) -> str:
-    key = (sender, value, signers)
-    d = _LINK_DIGESTS.get(key)
-    if d is None:
-        if len(_LINK_DIGESTS) > 200_000:
-            _LINK_DIGESTS.clear()
-        d = _LINK_DIGESTS[key] = payload_digest(("ds-link", sender, value, signers))
-    return d
-
-
-class _Hit:
-    """The first valid relay of one (sender, value) in a round's inbox: its
-    position and payload, its chain's signers, and the digest a node signs
-    to relay it, made on first need."""
-
-    __slots__ = ("pos", "payload", "signers", "_digest")
-
-    def __init__(self, pos: int, payload: tuple, signers: tuple):
-        self.pos = pos
-        self.payload = payload
-        self.signers = signers
-        self._digest = None
-
-    def next_digest(self) -> str:
-        if self._digest is None:
-            _, s, _, v, _ = self.payload
-            self._digest = _link_digest(s, v, self.signers)
-        return self._digest
+# Link digests are pure functions of key = (sender, value, signer prefix),
+# so one process-wide memo serves every node and run. Chains revalidate
+# shared prefixes constantly; without the memo the JSON canonicalization
+# inside payload_digest dominates long-chain rounds. The lambda looks up
+# payload_digest when it runs, so a wrapper installed on this module's
+# global sees every digest made.
+_LINK_DIGESTS = Memo(lambda key: payload_digest(("ds-link", *key)))
 
 
 class _ChainIndex:
@@ -193,7 +165,7 @@ class _ChainIndex:
     def __init__(self, inbox, rnd: int, group: frozenset):
         self.group = group
         self.relays = {}  # sender -> {value: [(position, payload), ...]}
-        self._first = {}  # (sender, value) -> _Hit or None
+        self._first = {}  # (sender, value) -> (position, payload, signers) or None
         relays = self.relays
         for pos, (_, p) in enumerate(inbox):
             if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
@@ -208,7 +180,8 @@ class _ChainIndex:
                     same.append((pos, p))
 
     def accepted(self, sender, extracted, verify) -> list:
-        """The _Hit of each value of sender not in extracted, in inbox order."""
+        """The first valid relay of each value of sender not in extracted,
+        as (position, payload, signers), in inbox order."""
         hits = []
         for v, relays in self.relays[sender].items():
             if v in extracted:
@@ -220,15 +193,15 @@ class _ChainIndex:
                 hit = self._first[key] = self._first_valid(relays, verify)
             if hit is not None:
                 hits.append(hit)
-        if len(hits) == 2 and hits[1].pos < hits[0].pos:
+        if len(hits) == 2 and hits[1][0] < hits[0][0]:
             hits.reverse()
         return hits
 
-    def _first_valid(self, relays, verify) -> Optional[_Hit]:
+    def _first_valid(self, relays, verify) -> Optional[tuple]:
         for pos, payload in relays:
             signers = self._signers(payload, verify)
             if signers is not None:
-                return _Hit(pos, payload, signers)
+                return pos, payload, signers
         return None
 
     def _signers(self, payload, verify) -> Optional[tuple]:
@@ -246,7 +219,7 @@ class _ChainIndex:
         if not self.group.issuperset(signers):
             return None
         for j, (who, token) in enumerate(chain):
-            if not verify(token, who, _link_digest(s, v, tuple(signers[:j]))):
+            if not verify(token, who, _LINK_DIGESTS[s, v, tuple(signers[:j])]):
                 return None
         return tuple(signers)
 
@@ -288,7 +261,7 @@ class _SignedRelays:
         """Start this node's own broadcast of value (None sends nothing)."""
         if value is not None:
             me, v = self.me, int(value)
-            chain = ((me, self._signer.sign(_link_digest(me, v, ()))),)
+            chain = ((me, self._signer.sign(_LINK_DIGESTS[me, v, ()])),)
             self._relays[1] = [(me, ("ds", me, 1, v, chain))]
             self.extracted[me] = {v}
 
@@ -306,11 +279,11 @@ class _SignedRelays:
         the relays they call for."""
         me, extracted = self.me, self.extracted
         relays = rnd <= self.t and me != s
-        for hit in index.accepted(s, extracted.get(s, ()), self._signer.verify):
-            _, _, _, val, chain = hit.payload
+        for _, (_, _, _, val, chain), signers in index.accepted(
+                s, extracted.get(s, ()), self._signer.verify):
             extracted.setdefault(s, set()).add(val)
-            if relays and me not in hit.signers:
-                token = self._signer.sign(hit.next_digest())
+            if relays and me not in signers:
+                token = self._signer.sign(_LINK_DIGESTS[s, val, signers])
                 self._relays.setdefault(rnd + 1, []).append(
                     (s, ("ds", s, rnd + 1, val, chain + ((me, token),))))
 

@@ -38,7 +38,9 @@ the engine refuses to hand adversaries a signer for an honest id, which is
 what makes signatures unforgeable here. Tokens are deterministic functions
 of (signer, digest) so that indistinguishable configurations stay
 byte-identical across runs; being pure, they come from one process-wide
-memo (_TOKENS), which records nothing about who minted them.
+Memo (_TOKENS), which records nothing about who minted them. Memo is the
+package's one get-or-compute cache for pure values; protocols' link
+digests use it the same way.
 """
 
 from __future__ import annotations
@@ -70,6 +72,25 @@ class ForgeryError(Exception):
 
 class ScenarioError(ValueError):
     """A scenario whose nodes or adversary cannot be built from its parameters."""
+
+
+class Memo(dict):
+    """fn(key) for every key looked up, computed on the first lookup and
+    kept. For a pure fn only: the memo empties before a store once it holds
+    more than 200,000 entries, so a value may be computed again."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) > 200_000:
+            self.clear()
+        self[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +152,11 @@ def derive_seed(*parts) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Tokens are pure functions of (signer, digest), so one process-wide memo
-# serves every ledger and run: the runs of a battery mint the same few
-# thousand tokens over and over. It holds no record of who minted what;
-# that stays in each ledger.
-_TOKENS = {}
-
-
-def _token(key: tuple) -> str:
-    """The token of key = (signer, digest): sha256 of "signer|digest", truncated."""
-    tok = _TOKENS.get(key)
-    if tok is None:
-        if len(_TOKENS) > 200_000:
-            _TOKENS.clear()
-        tok = _TOKENS[key] = hashlib.sha256(f"{key[0]}|{key[1]}".encode()).hexdigest()[:16]
-    return tok
+# Tokens are pure functions of key = (signer, digest): sha256 of
+# "signer|digest", truncated. So one process-wide memo serves every ledger
+# and run: the runs of a battery mint the same few thousand tokens over and
+# over. It holds no record of who minted what; that stays in each ledger.
+_TOKENS = Memo(lambda key: hashlib.sha256(f"{key[0]}|{key[1]}".encode()).hexdigest()[:16])
 
 
 class SignatureLedger:
@@ -162,7 +173,7 @@ class SignatureLedger:
 
     def mint(self, signer: int, digest: str, *, adversarial: bool = False) -> str:
         key = (signer, digest)
-        tok = self._minted[key] = _token(key)
+        tok = self._minted[key] = _TOKENS[key]
         if adversarial:
             self._minted_by_adversary.add(key)
         return tok
@@ -287,20 +298,24 @@ class Scenario:
             raise ValueError(
                 f"unsupported scenario schema_version {doc.get('schema_version')!r}"
             )
+        n = field_int(doc["n"], "n")
+
+        def ids(values, what):
+            return frozenset(field_node(i, n, what) for i in values)
+
         pred_j = doc.get("prediction")
         if pred_j is None:
             pred = None
         elif "global" in pred_j:
-            pred = frozenset(pred_j["global"])
+            pred = ids(pred_j["global"], "prediction id")
         elif "local" in pred_j:
-            pred = {int(k): frozenset(v)
+            pred = {field_node(int(k), n, "prediction holder"): ids(v, "prediction id")
                     for k, v in field_items(pred_j["local"], "local prediction")}
         else:
             raise ValueError("prediction must be null or carry 'global'/'local'")
-        n = field_int(doc["n"], "n")
         config = Configuration(
             n=n,
-            faulty=frozenset(doc["faulty"]),
+            faulty=ids(doc["faulty"], "faulty id"),
             inputs={int(k): field_int(v, "input")
                     for k, v in field_items(doc["inputs"], "inputs")},
         )
@@ -331,15 +346,24 @@ class Scenario:
 
 def field_int(value, what: str) -> int:
     """int(value) for a number read from a scenario file; one that is no
-    integer, such as Infinity, 2.5 or a string, raises ValueError naming
-    the field."""
+    integer, such as Infinity, 2.5, a string or true, raises ValueError
+    naming the field."""
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (OverflowError, TypeError, ValueError):
         number = None
     if number is None or number != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return number
+
+
+def field_node(value, n: int, what: str) -> int:
+    """A node id read from a scenario file: field_int(value), which must
+    lie in 1..n."""
+    node = field_int(value, what)
+    if not 1 <= node <= n:
+        raise ValueError(f"{what} must lie in 1..{n}, got {node}")
+    return node
 
 
 def field_items(value, what: str):
@@ -414,7 +438,7 @@ def _log_round(logs, rnd, honest_msgs, inboxes):
     honest_msgs and inboxes alive for the whole call, so no id is reused.
     """
     encoded = {}
-    ordered = {}  # receiver tuple -> the same ids sorted
+    ordered = Memo(lambda receivers: tuple(sorted(receivers)))
     sent = {i: [] for i in logs}
     for sender, receivers, payload in honest_msgs:
         if not receivers:
@@ -422,10 +446,7 @@ def _log_round(logs, rnd, honest_msgs, inboxes):
         pj = encoded.get(id(payload))
         if pj is None:
             pj = encoded[id(payload)] = payload_to_json(payload)
-        to = ordered.get(receivers)
-        if to is None:
-            to = ordered[receivers] = tuple(sorted(receivers))
-        sent[sender].append((to, pj))
+        sent[sender].append((ordered[receivers], pj))
     heard = {}  # id(inbox) -> its received list
     for i, log in logs.items():
         box = inboxes[i]

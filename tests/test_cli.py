@@ -156,6 +156,24 @@ _MALFORMED = {
         "a": [1, 2], "b": [2, 3], "value_a": 0, "value_b": 1, "pred": None}}},
     "persona_member_outside_n": {"adversary": {"name": "persona_network", "params": {
         "groups": {"w": {"9": {"input": 0, "pred": None}}}}}},
+    # Node ids are JSON integers in 1..n, and true is no integer.
+    "true_faulty_id": {"faulty": [True], "inputs": {str(i): i % 2 for i in range(2, 7)}},
+    "true_prediction_id": {"prediction": {"global": [True, 2, 3, 4, 5]}},
+    **{f"{name}_participants": {"protocol": "phase_king", "prediction": None,
+                                "params": {"participants": participants}}
+       for name, participants in (("false", False), ("zero", 0), ("empty_string", ""),
+                                  ("empty_object", {}))},
+    "empty_participants": {"mode": "auth", "protocol": "dolev_strong_broadcast",
+                           "prediction": None, "params": {"participants": []}},
+    "emission_receiver_outside_n": {"adversary": {"name": "persona_network", "params": {
+        "groups": {"w": {"6": {"input": 0, "pred": None}}},
+        "emission": [{"group": "w", "senders": None, "receivers": [99]}]}}},
+    "true_seed": {"seed": True},
+    "true_replay_input": {"adversary": {"name": "replay_honest", "params": {"input": True}}},
+    # A params key the protocol does not read.
+    "wrapper_params": {"params": {"bogus": 1}},
+    "phase_king_sender": {"protocol": "phase_king", "prediction": None,
+                          "params": {"sender": 1}},
 }
 
 
@@ -166,6 +184,16 @@ def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys
     scenario_file.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
     assert "byzsim: error:" in capsys.readouterr().err
+
+
+def test_simulate_echoes_whole_float_ids_as_integers(scenario_file, capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc.update({"faulty": [6.0], "prediction": {"global": [1.0, 2, 3, 4, 5]}})
+    scenario_file.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 0
+    echoed = json.loads(capsys.readouterr().out)["scenario"]
+    assert json.dumps([echoed["faulty"], echoed["prediction"]]) == \
+        json.dumps([[6], {"global": [1, 2, 3, 4, 5]}])
 
 
 def test_simulate_bug_while_building_the_run_is_an_internal_error(scenario_file, monkeypatch,
@@ -443,6 +471,14 @@ def test_sweep_rejects_unknown_adversary(capsys):
                    "--eta-range", "0:1", "--adversaries", "gremlin",
                    "--seed", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("names", ["", ",", " , "], ids=["empty", "comma", "blank"])
+def test_sweep_adversaries_naming_none_is_usage_error(names, capsys):
+    rc = cli.main(["sweep", "--mode", "nonauth", "--alpha", "3/5", "--n", "10",
+                   "--eta-range", "0:1", "--adversaries", names, "--seed", "0"])
+    assert rc == 2
+    assert "names no adversary" in capsys.readouterr().err
 
 
 def test_curves_stdout_and_file_match(tmp_path, capsys):

@@ -253,10 +253,46 @@ def test_ledger_mint_verify_and_audit():
     assert ledger.honest_integrity(frozenset({4}))
 
 
+def test_memo_computes_each_key_once():
+    calls = []
+
+    def square(key):
+        calls.append(key)
+        return key * key
+
+    memo = simnet.Memo(square)
+    assert memo[3] == 9 and memo[4] == 16 and memo[3] == 9
+    assert calls == [3, 4]
+    assert dict(memo) == {3: 9, 4: 16}
+    assert 5 not in memo and memo.get(5) is None  # only [] computes
+
+
+def test_memo_empties_past_its_limit_and_recomputes():
+    calls = []
+
+    def double(key):
+        calls.append(key)
+        return 2 * key
+
+    memo = simnet.Memo(double)
+    memo.update((k, 2 * k) for k in range(200_000))
+    assert memo[-1] == -2 and len(memo) == 200_001  # at the limit: kept
+    assert memo[-2] == -4 and len(memo) == 1  # past it: emptied, then stored
+    assert memo[7] == 14 and calls == [-1, -2, 7]  # 7 was dropped, so it is recomputed
+    assert memo[7] == 14 and calls == [-1, -2, 7]
+
+
+def test_process_wide_memos_give_the_formulas():
+    key = (3, "digest")
+    assert simnet._TOKENS[key] == hashlib.sha256(b"3|digest").hexdigest()[:16]
+    assert protocols._LINK_DIGESTS[1, 0, (1, 2)] == simnet.payload_digest(
+        ("ds-link", 1, 0, (1, 2)))
+
+
 def test_token_memo_is_the_formula_and_no_record_of_who_minted(monkeypatch):
     # Tokens come from a process-wide memo, but what verifies is what this
     # ledger minted: a token the memo holds proves nothing to a fresh ledger.
-    monkeypatch.setattr(simnet, "_TOKENS", {})
+    monkeypatch.setattr(simnet, "_TOKENS", simnet.Memo(simnet._TOKENS.fn))
     digest = simnet.payload_digest(("ds-link", 1, 0, ()))
     formula = hashlib.sha256(f"3|{digest}".encode()).hexdigest()[:16]
     first = SignatureLedger()
