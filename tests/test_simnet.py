@@ -282,11 +282,21 @@ def test_memo_empties_past_its_limit_and_recomputes():
     assert memo[7] == 14 and calls == [-1, -2, 7]
 
 
-def test_process_wide_memos_give_the_formulas():
-    key = (3, "digest")
-    assert simnet._TOKENS[key] == hashlib.sha256(b"3|digest").hexdigest()[:16]
-    assert protocols._LINK_DIGESTS[1, 0, (1, 2)] == simnet.payload_digest(
-        ("ds-link", 1, 0, (1, 2)))
+def test_link_digests_call_the_module_global_payload_digest(monkeypatch):
+    # A wrapper installed on protocols.payload_digest (as a tracer does)
+    # sees every link digest the memo computes.
+    made = []
+
+    def counted(payload):
+        made.append(payload)
+        return simnet.payload_digest(payload)
+
+    monkeypatch.setattr(protocols, "payload_digest", counted)
+    key = (1, 0, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17))
+    protocols._LINK_DIGESTS.pop(key, None)
+    digest = protocols._LINK_DIGESTS[key]
+    assert digest == protocols._LINK_DIGESTS[key] == simnet.payload_digest(("ds-link", *key))
+    assert made == [("ds-link", *key)]
 
 
 def test_token_memo_is_the_formula_and_no_record_of_who_minted(monkeypatch):
