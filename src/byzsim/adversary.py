@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 
 from .core import Configuration, check_alpha
 from .simnet import (AdversarySpec, AdversaryStrategy, ForgeryError, Inbox, Memo,
-                     Scenario, field_int, field_items, field_node)
+                     Scenario, field_bit, field_ids, field_int, field_items, field_key)
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +175,27 @@ class _Noise(AdversaryStrategy):
 class _Personas(AdversaryStrategy):
     def __init__(self, groups, feed_overrides, emission, cutoff, scenario: Scenario):
         # groups: {name: {node: (input, pred-or-None)}}
-        # feed_overrides: (group, set(senders), from_group)
-        # emission: (group, senders-or-None, set(receivers))
-        # The spec is checked here, where it is materialized, so a bad one
-        # fails before any run starts.
-        faulty, n = scenario.config.faulty, scenario.n
+        # feed_overrides: (group, senders, from_group)
+        # emission: (group, senders-or-None, receivers)
+        # with node ids as build_strategy read them. The rest of the spec is
+        # checked here, so a bad one fails before any run starts.
+        faulty = scenario.config.faulty
         for members in groups.values():
             for node in members:
-                field_node(node, n, "persona id")
                 if scenario.mode == "auth" and node not in faulty:
                     raise ForgeryError(
                         f"auth mode: cannot run an instance of honest node {node} "
                         f"without forging its signatures")
         self._emit_rules = []
         for g, senders, receivers in emission:
-            pick = tuple(sorted(field_node(s, n, "emission sender")
-                                for s in (senders if senders is not None else groups[g])))
+            pick = tuple(sorted(senders if senders is not None else groups[g]))
             for s in pick:
                 if s not in faulty:
                     raise ForgeryError(
                         f"emission rule names honest node {s} as sender")
                 if s not in groups.get(g, ()):
                     raise ValueError(f"group {g!r} has no instance of node {s}")
-            self._emit_rules.append(
-                (g, pick, frozenset(field_node(r, n, "emission receiver") for r in receivers)))
+            self._emit_rules.append((g, pick, receivers))
         self.groups = groups
         self.feed_overrides = list(feed_overrides)
         self.cutoff = cutoff
@@ -301,18 +298,14 @@ class _Personas(AdversaryStrategy):
             inst.deliver(rnd, inbox)
 
 
-def _bit(value) -> int:
-    bit = field_int(value, "persona input")
-    if bit not in (0, 1):
-        raise ValueError(f"persona input must be 0 or 1, got {value!r}")
-    return bit
-
-
 def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy:
     """Materialize a strategy from its serializable description."""
     name, p = spec.name, spec.params
-    faulty = scenario.config.faulty
-    honest = scenario.config.honest
+    n, faulty, honest = scenario.n, scenario.config.faulty, scenario.config.honest
+
+    def pred(value):
+        # A persona's prediction; None means the one the scenario hands its id.
+        return None if value is None else field_ids(value, n, "persona prediction id")
 
     if name == "silent":
         return AdversaryStrategy()  # the base strategy sends nothing
@@ -321,46 +314,46 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         return _Noise(field_int(p.get("seed", 0), "noise seed"))
 
     if name == "crash_after":
-        p = crash_after(field_int(p["round"], "crash round"),
-                        dict(field_items(p.get("inputs") or {}, "crash inputs"))).params
-        inputs = {int(k): _bit(v) for k, v in p["inputs"].items()}
+        rnd = field_int(p["round"], "crash round")
+        if rnd < 0:
+            raise ValueError("crash round must be >= 0")
+        inputs = {field_key(k, n, "crash inputs key"): field_bit(v, "persona input")
+                  for k, v in field_items(p.get("inputs") or {}, "crash inputs")}
         groups = {"w": {c: (inputs.get(c, 0), None) for c in faulty}}
-        emission = [("w", None, set(honest))]
-        return _Personas(groups, [], emission, p["round"], scenario)
+        return _Personas(groups, [], [("w", None, honest)], rnd, scenario)
 
     if name == "replay_honest":
-        pred = frozenset(p["pred"]) if p.get("pred") is not None else None
-        groups = {"w": {c: (_bit(p["input"]), pred) for c in faulty}}
-        return _Personas(groups, [], [("w", None, set(honest))], None, scenario)
+        groups = {"w": dict.fromkeys(faulty, (field_bit(p["input"], "persona input"),
+                                              pred(p.get("pred"))))}
+        return _Personas(groups, [], [("w", None, honest)], None, scenario)
 
     if name == "split_brain":
-        p = split_brain((p["a"], p["b"]), p["value_a"], p["value_b"], p.get("pred")).params
-        a_side, b_side = set(p["a"]), set(p["b"])
-        if not (a_side <= honest and b_side <= honest):
+        a_side, b_side = (field_ids(p[g], n, "partition id") for g in "ab")
+        if a_side & b_side:
+            raise ValueError("partition sides must be disjoint")
+        if not (a_side | b_side) <= honest:
             raise ValueError("split_brain partition sides must be honest subsets")
-        pred = frozenset(p["pred"]) if p.get("pred") is not None else None
-        groups = {
-            "a": {c: (_bit(p["value_a"]), pred) for c in faulty},
-            "b": {c: (_bit(p["value_b"]), pred) for c in faulty},
-        }
+        faces = [field_bit(p["value_" + g], "partition value") for g in "ab"]
+        spoof = pred(p.get("pred"))
+        groups = {g: dict.fromkeys(faulty, (v, spoof)) for g, v in zip("ab", faces)}
         emission = [("a", None, honest - b_side), ("b", None, b_side)]
         return _Personas(groups, [], emission, None, scenario)
 
     if name == "persona_network":
         groups = {
-            g: {
-                int(node): (_bit(m["input"]),
-                            frozenset(m["pred"]) if m["pred"] is not None else None)
-                for node, m in field_items(members, "persona group")
-            }
+            g: {field_key(node, n, "persona id"): (field_bit(m["input"], "persona input"),
+                                                   pred(m["pred"]))
+                for node, m in field_items(members, "persona group")}
             for g, members in field_items(p["groups"], "persona groups")
         }
         overrides = [
-            (o["group"], set(o["senders"]), o["from_group"])
+            (o["group"], field_ids(o["senders"], n, "feed sender"), o["from_group"])
             for o in p.get("feed_overrides", [])
         ]
         emission = [
-            (e["group"], e["senders"], set(e["receivers"]))
+            (e["group"],
+             None if e["senders"] is None else field_ids(e["senders"], n, "emission sender"),
+             field_ids(e["receivers"], n, "emission receiver"))
             for e in p.get("emission", [])
         ]
         cutoff = p.get("cutoff")
@@ -380,20 +373,12 @@ def _block(lo: int, hi: int) -> list:
     return list(range(lo, hi + 1))
 
 
-def _scenario(mode, alpha, n, faulty, inputs, prediction, adversary, protocol):
-    return Scenario(
-        n=n,
-        mode=mode,
-        alpha=alpha,
-        config=Configuration(n=n, faulty=frozenset(faulty), inputs=inputs),
-        prediction=prediction,
-        adversary=adversary,
-        seed=0,
-        protocol=protocol,
-    )
+def _scenario(alpha, n, faulty, inputs, prediction, adversary, protocol):
+    return Scenario(alpha=alpha, config=Configuration(n, frozenset(faulty), inputs),
+                    prediction=prediction, adversary=adversary, seed=0, protocol=protocol)
 
 
-def replay_triple(mode, alpha, n, A, B, prediction, protocol, pred_a=None, pred_b=None):
+def replay_triple(alpha, n, A, B, prediction, protocol, pred_a=None, pred_b=None):
     """Three runs in which replayed personas mirror one honest side exactly.
 
     1. B faulty, its personas replaying input 1 (prediction pred_b) to A,
@@ -407,9 +392,9 @@ def replay_triple(mode, alpha, n, A, B, prediction, protocol, pred_a=None, pred_
     """
     in_a, in_b = {i: 0 for i in A}, {i: 1 for i in B}
     return [
-        _scenario(mode, alpha, n, B, in_a, prediction, replay_honest(1, pred_b), protocol),
-        _scenario(mode, alpha, n, A, in_b, prediction, replay_honest(0, pred_a), protocol),
-        _scenario(mode, alpha, n, (), in_a | in_b, prediction, silent(), protocol),
+        _scenario(alpha, n, B, in_a, prediction, replay_honest(1, pred_b), protocol),
+        _scenario(alpha, n, A, in_b, prediction, replay_honest(0, pred_a), protocol),
+        _scenario(alpha, n, (), in_a | in_b, prediction, silent(), protocol),
     ]
 
 
@@ -421,18 +406,14 @@ def _need(cond: bool, what: str, example: str):
 def _split_then_sides(a, n, A, B, rest, P):
     """Split-brain over (A, B) with the rest faulty; then A, then B faulty,
     each side's personas playing the opposite input to everyone else."""
-    cfg1 = _scenario("nonauth", a, n, rest, {i: 0 for i in A} | {i: 1 for i in B},
+    cfg1 = _scenario(a, n, rest, {i: 0 for i in A} | {i: 1 for i in B},
                      P, split_brain((A, B), 0, 1, P), "pred_ba")
-    cfg2 = _scenario(
-        "nonauth", a, n, B, {i: 0 for i in A + rest}, P,
-        persona_network({"w": {i: (1, P) for i in B + rest}},
-                        emission=[("w", B, A + rest)]),
-        "pred_ba")
-    cfg3 = _scenario(
-        "nonauth", a, n, A, {i: 1 for i in B + rest}, P,
-        persona_network({"w": {i: (0, P) for i in A + rest}},
-                        emission=[("w", A, B + rest)]),
-        "pred_ba")
+    cfg2 = _scenario(a, n, B, {i: 0 for i in A + rest}, P,
+                     persona_network({"w": {i: (1, P) for i in B + rest}},
+                                     emission=[("w", B, A + rest)]), "pred_ba")
+    cfg3 = _scenario(a, n, A, {i: 1 for i in B + rest}, P,
+                     persona_network({"w": {i: (0, P) for i in A + rest}},
+                                     emission=[("w", A, B + rest)]), "pred_ba")
     return [cfg1, cfg2, cfg3]
 
 
@@ -468,7 +449,7 @@ def _t42p2(alpha, n):
     A, B, C = _block(1, eta), _block(eta + 1, 2 * eta), _block(2 * eta + 1, 3 * eta)
     D = _block(3 * eta + 1, n)
     P = frozenset(A + B + C)
-    cfg1 = _scenario("nonauth", a, n, C + D, {i: 0 for i in A} | {i: 1 for i in B},
+    cfg1 = _scenario(a, n, C + D, {i: 0 for i in A} | {i: 1 for i in B},
                      P, split_brain((A, B), 0, 1, P), "pred_ba")
 
     def side(X, Y, v):
@@ -476,12 +457,10 @@ def _t42p2(alpha, n):
         # `other` runs D on 1 - v and feeds X's instances to it.
         mine, other = ("zero", "one")[v], ("zero", "one")[1 - v]
         groups = {mine: {i: (v, P) for i in X + C + D}, other: {i: (1 - v, P) for i in D}}
-        return _scenario(
-            "nonauth", a, n, X + D, {i: 1 - v for i in Y + C}, P,
-            persona_network(groups,
-                            feed_overrides=[(other, X, mine)],
-                            emission=[(mine, X, Y + C), (other, D, Y + C)]),
-            "pred_ba")
+        return _scenario(a, n, X + D, {i: 1 - v for i in Y + C}, P,
+                         persona_network(groups, feed_overrides=[(other, X, mine)],
+                                         emission=[(mine, X, Y + C), (other, D, Y + C)]),
+                         "pred_ba")
 
     return [cfg1, side(B, A, 1), side(A, B, 0)]
 
@@ -510,7 +489,7 @@ def _tc4p1(alpha, n):
     B = _block(2 * g, n)
     _need(len(B) >= 1, "alpha*n > (1-alpha)*n - 1", "alpha=3/4, n=16")
     P = frozenset(A + C + [x])
-    return replay_triple("auth", a, n, A, B + C + [x], P, "auth_pred_ba", P, P)
+    return replay_triple(a, n, A, B + C + [x], P, "auth_pred_ba", P, P)
 
 
 def _tc4p2(alpha, n):
@@ -525,11 +504,11 @@ def _tc4p2(alpha, n):
     B = _block(p_size + 1, 2 * p_size)
     C = _block(2 * p_size + 1, n)
     P = frozenset(A + B)
-    cfg1 = _scenario("auth", a, n, C, {i: 0 for i in A} | {i: 1 for i in B}, P,
+    cfg1 = _scenario(a, n, C, {i: 0 for i in A} | {i: 1 for i in B}, P,
                      split_brain((A, B), 0, 1, P), "auth_pred_ba")
-    cfg2 = _scenario("auth", a, n, B, {i: 0 for i in A + C}, P,
+    cfg2 = _scenario(a, n, B, {i: 0 for i in A + C}, P,
                      replay_honest(1, P), "auth_pred_ba")
-    cfg3 = _scenario("auth", a, n, A, {i: 1 for i in B + C}, P,
+    cfg3 = _scenario(a, n, A, {i: 1 for i in B + C}, P,
                      replay_honest(0, P), "auth_pred_ba")
     return [cfg1, cfg2, cfg3]
 
@@ -541,7 +520,7 @@ def _t52(alpha, n):
     A, B = _block(1, half), _block(half + 1, n)
     p0, p1 = frozenset(A), frozenset(B)
     local = {i: p0 for i in A} | {i: p1 for i in B}
-    return replay_triple("nonauth", a, n, A, B, local, "pred_ba", p0, p1)
+    return replay_triple(a, n, A, B, local, "pred_ba", p0, p1)
 
 
 _BUILDERS = {

@@ -224,15 +224,14 @@ class RunCache:
         return out
 
 
-def _scenario(mode, alpha, config, prediction, adv_name, trial_seed,
-              protocol=None, **params) -> Scenario:
+def _scenario(protocol, alpha, config, prediction, adv_name, trial_seed,
+              **params) -> Scenario:
     # Only the noise strategy consumes scenario.seed; pinning it to zero for
     # the deterministic strategies lets identical trials share one run.
-    return Scenario(n=config.n, mode=mode, alpha=alpha, config=config,
-                    prediction=prediction,
+    return Scenario(alpha=alpha, config=config, prediction=prediction,
                     adversary=materialize_adversary(adv_name, config),
                     seed=trial_seed if adv_name == "noise" else 0,
-                    protocol=protocol or WRAPPER_PROTOCOL[mode], params=params)
+                    protocol=protocol, params=params)
 
 
 def _trial(coords, f, adv_name, pattern, predict, unique=False) -> Scenario:
@@ -252,7 +251,8 @@ def _trial(coords, f, adv_name, pattern, predict, unique=False) -> Scenario:
     faulty = make_faulty(n, f, placement, rng)
     config = Configuration(n, faulty, make_inputs(
         frozenset(range(1, n + 1)) - faulty, pattern, rng))
-    return _scenario(mode, alpha, config, predict(config, rng), adv_name, trial_seed)
+    return _scenario(WRAPPER_PROTOCOL[mode], alpha, config, predict(config, rng), adv_name,
+                     trial_seed)
 
 
 class _Battery:
@@ -589,10 +589,10 @@ def transcript_identity_report() -> dict:
 
     n = 8
     a_side, b_side = tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))
-    for protocol, mode in PROTOCOLS.items():
+    for protocol in PROTOCOLS:
         pred = frozenset(range(1, n + 1)) if protocol in WRAPPER_PROTOCOL.values() else None
-        t1, t2, t3 = transcripts(replay_triple(mode, Fraction(3, 4), n, a_side, b_side,
-                                               pred, protocol))
+        t1, t2, t3 = transcripts(replay_triple(Fraction(3, 4), n, a_side, b_side, pred,
+                                               protocol))
         compare(f"{protocol}:replayB-vs-honest:A", t1, t3, a_side)
         compare(f"{protocol}:replayA-vs-honest:B", t2, t3, b_side)
 
@@ -752,8 +752,8 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                 for k in range(pk_seeds):
                     trial_seed = derive_seed("pk", seed, min(faulty), bits,
                                              adv_name, k)
-                    sc = _scenario("nonauth", Fraction(2, 3), config, None, adv_name,
-                                   trial_seed, "phase_king", t=t)
+                    sc = _scenario("phase_king", Fraction(2, 3), config, None, adv_name,
+                                   trial_seed, t=t)
                     tally.check(sc, adv_name, {"t": t, "inputs": inputs, "trial": k},
                                 label="phase_king")
 
@@ -780,8 +780,8 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                 for k in range(ds_seeds):
                     trial_seed = derive_seed("ds", seed, m, t, sorted(faulty),
                                              value, adv_name, k)
-                    sc = _scenario("auth", Fraction(3, 4), config, None, adv_name,
-                                   trial_seed, "dolev_strong_broadcast", t=t, sender=1)
+                    sc = _scenario("dolev_strong_broadcast", Fraction(3, 4), config, None,
+                                   adv_name, trial_seed, t=t, sender=1)
                     tally.check(sc, adv_name,
                                 {"t": t, "sender_faulty": 1 in faulty, "value": value,
                                  "trial": k},
@@ -798,8 +798,8 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                 rng = random.Random(trial_seed)
                 config = Configuration(m, config_faulty,
                                        make_inputs(honest, pattern, rng))
-                sc = _scenario("auth", Fraction(3, 4), config, None, adv_name,
-                               trial_seed, "dolev_strong_ba", t=t)
+                sc = _scenario("dolev_strong_ba", Fraction(3, 4), config, None, adv_name,
+                               trial_seed, t=t)
                 tally.check(sc, adv_name, {"t": t, "pattern": pattern, "trial": k},
                             label="dolev_strong_ba")
 

@@ -4,9 +4,9 @@ A builder takes the engine's NodeCtx and returns a protocol state machine.
 Wrapper protocols derive their schedule from the prediction; bare protocols
 take participants and budget t from scenario params, with defaults covering
 the whole id space at the largest standard budget; a params key a protocol
-does not read makes the scenario invalid. Which mode a protocol runs in is
-simnet.PROTOCOLS's to say; Scenario checks it, so every name reaching
-factory_for is known and matches its scenario's mode.
+does not read makes the scenario invalid, and each one read goes through a
+simnet field reader. A scenario's mode is its protocol's in
+simnet.PROTOCOLS, so every name reaching factory_for is known.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 
 from .predba import AuthPredBA, PredBA
 from .protocols import DolevStrongBA, DolevStrongBroadcast, PhaseKing
-from .simnet import NodeCtx, ScenarioError, field_node
+from .simnet import NodeCtx, ScenarioError, field_ids, field_int, field_node
 
 
 def _group(ctx: NodeCtx, resilience: int):
@@ -23,16 +23,11 @@ def _group(ctx: NodeCtx, resilience: int):
     resilience * t < len(group). Only a missing or null participants means
     everyone."""
     p = ctx.params.get("participants")
-    if p is None:
-        group = tuple(range(1, ctx.n + 1))
-    elif isinstance(p, (list, tuple)) and p:
-        group = tuple(sorted(field_node(i, ctx.n, "participant") for i in p))
-    else:
+    group = range(1, ctx.n + 1) if p is None else field_ids(p, ctx.n, "participant")
+    if not group:
         raise ValueError(f"participants must be a non-empty list of node ids, got {p!r}")
     t = ctx.params.get("t", math.ceil(len(group) / resilience) - 1)
-    if type(t) is not int:
-        raise ValueError(f"budget t must be an integer, got {t!r}")
-    return group, t
+    return tuple(sorted(group)), field_int(t, "budget t")
 
 
 def _dolev_strong_broadcast(ctx: NodeCtx):

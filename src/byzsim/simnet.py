@@ -41,6 +41,10 @@ byte-identical across runs; being pure, they come from one process-wide
 Memo (_TOKENS), which records nothing about who minted them. Memo is the
 package's one get-or-compute cache for pure values; protocols' link
 digests use it the same way.
+
+A Scenario states each fact once (its n is its configuration's, its mode
+its protocol's), and every value a scenario file gives goes through one of
+the field_* readers below, whichever module reads it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import Configuration, check_alpha, check_mode
+from .core import Configuration, check_alpha
 
 SCHEMA_VERSION = 1
 
@@ -232,10 +236,9 @@ class AdversarySpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, serializable description of one simulation run."""
+    """A complete, serializable description of one simulation run. Its n
+    is its configuration's, and its mode its protocol's."""
 
-    n: int
-    mode: str
     alpha: Fraction
     config: Configuration
     prediction: Union[frozenset, Mapping, None]
@@ -245,24 +248,25 @@ class Scenario:
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        check_mode(self.mode)
-        object.__setattr__(self, "alpha", check_alpha(self.mode, self.alpha))
-        if self.n != self.config.n:
-            raise ValueError("scenario n disagrees with configuration n")
         mode = PROTOCOLS.get(self.protocol) if isinstance(self.protocol, str) else None
         if mode is None:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if mode != self.mode:
-            raise ValueError(
-                f"protocol {self.protocol!r} runs in {mode} mode, not {self.mode}")
+        object.__setattr__(self, "alpha", check_alpha(mode, self.alpha))
         pred = self.prediction
-        if pred is not None and not isinstance(pred, Mapping):
-            object.__setattr__(self, "prediction", frozenset(pred))
-        elif isinstance(pred, Mapping):
-            object.__setattr__(
-                self, "prediction", {int(k): frozenset(v) for k, v in pred.items()}
-            )
+        if isinstance(pred, Mapping):
+            pred = {int(k): frozenset(v) for k, v in pred.items()}
+        elif pred is not None:
+            pred = frozenset(pred)
+        object.__setattr__(self, "prediction", pred)
         object.__setattr__(self, "params", dict(self.params))
+
+    @property
+    def n(self) -> int:
+        return self.config.n
+
+    @property
+    def mode(self) -> str:
+        return PROTOCOLS[self.protocol]
 
     def prediction_for(self, node_id: int):
         """The prediction as seen by one node (handles the local case)."""
@@ -299,24 +303,20 @@ class Scenario:
                 f"unsupported scenario schema_version {doc.get('schema_version')!r}"
             )
         n = field_int(doc["n"], "n")
-
-        def ids(values, what):
-            return frozenset(field_node(i, n, what) for i in values)
-
         pred_j = doc.get("prediction")
         if pred_j is None:
             pred = None
         elif "global" in pred_j:
-            pred = ids(pred_j["global"], "prediction id")
+            pred = field_ids(pred_j["global"], n, "prediction id")
         elif "local" in pred_j:
-            pred = {field_node(int(k), n, "prediction holder"): ids(v, "prediction id")
+            pred = {field_key(k, n, "local prediction key"): field_ids(v, n, "prediction id")
                     for k, v in field_items(pred_j["local"], "local prediction")}
         else:
             raise ValueError("prediction must be null or carry 'global'/'local'")
         config = Configuration(
             n=n,
-            faulty=ids(doc["faulty"], "faulty id"),
-            inputs={int(k): field_int(v, "input")
+            faulty=field_ids(doc["faulty"], n, "faulty id"),
+            inputs={field_key(k, n, "inputs key"): field_int(v, "input")
                     for k, v in field_items(doc["inputs"], "inputs")},
         )
         alpha = doc["alpha"]
@@ -329,11 +329,8 @@ class Scenario:
             adv = {"name": "silent", "params": {}}
         if not isinstance(adv, Mapping):
             raise ValueError(f"adversary must be a JSON object, got {adv!r}")
-        params = adv.get("params", {})
-        field_items(params, "adversary params")
-        return Scenario(
-            n=n,
-            mode=doc["mode"],
+        params = dict(field_items(adv.get("params", {}), "adversary params"))
+        sc = Scenario(
             alpha=alpha,
             config=config,
             prediction=pred,
@@ -342,6 +339,10 @@ class Scenario:
             protocol=doc["protocol"],
             params=doc.get("params", {}),
         )
+        if doc["mode"] != sc.mode:
+            raise ValueError(
+                f"protocol {sc.protocol!r} runs in {sc.mode} mode, not {doc['mode']}")
+        return sc
 
 
 def field_int(value, what: str) -> int:
@@ -357,6 +358,14 @@ def field_int(value, what: str) -> int:
     return number
 
 
+def field_bit(value, what: str) -> int:
+    """field_int(value), which must be 0 or 1."""
+    bit = field_int(value, what)
+    if bit not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {value!r}")
+    return bit
+
+
 def field_node(value, n: int, what: str) -> int:
     """A node id read from a scenario file: field_int(value), which must
     lie in 1..n."""
@@ -364,6 +373,22 @@ def field_node(value, n: int, what: str) -> int:
     if not 1 <= node <= n:
         raise ValueError(f"{what} must lie in 1..{n}, got {node}")
     return node
+
+
+def field_ids(values, n: int, what: str) -> frozenset:
+    """The set of node ids (field_node) in a scenario file's id list."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} list must be a JSON array, got {values!r}")
+    return frozenset(field_node(i, n, what) for i in values)
+
+
+def field_key(key, n: int, what: str) -> int:
+    """A node id read from a scenario file's object key: the exact text
+    str(i) of an id i in 1..n, so "01", "+1", " 1" and "0_1" name none."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+            and str(int(key)) == key):
+        raise ValueError(f"{what} must be the decimal text of a node id, got {key!r}")
+    return field_node(int(key), n, what)
 
 
 def field_items(value, what: str):

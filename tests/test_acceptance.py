@@ -208,7 +208,7 @@ def test_criterion_7_protocols():
 
 def test_criterion_8_cli_determinism(tmp_path):
     t0 = time.perf_counter()
-    sc = Scenario(n=10, mode="nonauth", alpha=Fraction(4, 5),
+    sc = Scenario(alpha=Fraction(4, 5),
                   config=Configuration(10, frozenset({9, 10}),
                                        {i: i % 2 for i in range(1, 9)}),
                   prediction=frozenset(range(1, 9)), adversary=silent(),

@@ -19,11 +19,11 @@ from byzsim.core import Configuration
 from byzsim.simnet import AdversarySpec, ForgeryError, Scenario, run_simulation
 
 
-def _scenario(n, faulty, inputs, adversary, prediction=None, mode="nonauth",
-              alpha=Fraction(1, 2), protocol="pred_ba", seed=0):
+def _scenario(n, faulty, inputs, adversary, prediction=None, alpha=Fraction(1, 2),
+              protocol="pred_ba", seed=0):
     if prediction is None:
         prediction = frozenset(sorted(set(range(1, n + 1)) - set(faulty)))
-    return Scenario(n=n, mode=mode, alpha=alpha,
+    return Scenario(alpha=alpha,
                     config=Configuration(n, frozenset(faulty), inputs),
                     prediction=prediction, adversary=adversary,
                     seed=seed, protocol=protocol)
@@ -132,7 +132,7 @@ def test_split_brain_faces_reach_their_sides():
     # an equivocating broadcast sender is caught: both values get extracted
     # and everyone lands on the default, unlike either single-faced replay
     def run(adv, value=None):
-        sc = Scenario(n=4, mode="auth", alpha=Fraction(1, 2),
+        sc = Scenario(alpha=Fraction(1, 2),
                       config=Configuration(4, frozenset({4}),
                                            {1: 0, 2: 0, 3: 0}),
                       prediction=None, adversary=adv, seed=0,
@@ -147,8 +147,7 @@ def test_split_brain_faces_reach_their_sides():
 
 def test_noise_is_survivable():
     inputs = {i: 1 for i in range(1, 8)}
-    sc = _scenario(8, {8}, inputs, random_noise(3), mode="nonauth",
-                   alpha=Fraction(4, 5))
+    sc = _scenario(8, {8}, inputs, random_noise(3), alpha=Fraction(4, 5))
     out, _ = run_simulation(sc, record_transcripts=False)
     assert out.termination and out.agreement and out.validity
     assert set(out.decisions.values()) == {1}

@@ -38,7 +38,7 @@ from byzsim.simnet import (
 
 @pytest.fixture
 def scenario_file(tmp_path):
-    sc = Scenario(n=6, mode="nonauth", alpha=Fraction(3, 5),
+    sc = Scenario(alpha=Fraction(3, 5),
                   config=Configuration(6, frozenset({6}),
                                        {i: i % 2 for i in range(1, 6)}),
                   prediction=frozenset(range(1, 6)), adversary=silent(),
@@ -174,6 +174,32 @@ _MALFORMED = {
     "wrapper_params": {"params": {"bogus": 1}},
     "phase_king_sender": {"protocol": "phase_king", "prediction": None,
                           "params": {"sender": 1}},
+    # Persona predictions, partition sides and feed senders are node ids.
+    "true_replay_pred": {"adversary": {"name": "replay_honest", "params": {
+        "input": 1, "pred": [True, 2, 3]}}},
+    "true_split_brain_pred": {"adversary": {"name": "split_brain", "params": {
+        "a": [1, 2], "b": [3, 4], "value_a": 0, "value_b": 1, "pred": [True, 2, 3]}}},
+    "true_persona_pred": {"adversary": {"name": "persona_network", "params": {
+        "groups": {"w": {"6": {"input": 0, "pred": [True, 2, 3]}}}}}},
+    "true_split_brain_side": {"adversary": {"name": "split_brain", "params": {
+        "a": [True, 2], "b": [3, 4], "value_a": 0, "value_b": 1, "pred": None}}},
+    "feed_sender_not_an_id": {"adversary": {"name": "persona_network", "params": {
+        "groups": {"w": {"6": {"input": 0, "pred": None}}},
+        "feed_overrides": [{"group": "w", "senders": ["x", 99], "from_group": "w"}]}}},
+    # An id list is a JSON array.
+    **{f"{name}_faulty": {"faulty": ids, "inputs": {str(i): i % 2 for i in range(1, 7)}}
+       for name, ids in (("empty_string", ""), ("empty_object", {}))},
+    **{f"{name}_prediction_ids": {"prediction": {"global": ids}}
+       for name, ids in (("empty_string", ""), ("empty_object", {}))},
+    # An object key that names a node is the exact text of an id in 1..n.
+    "underscore_input_key": {"inputs": {"0_1": 1, "2": 0, "3": 1, "4": 0, "5": 1}},
+    "zero_padded_input_key": {"inputs": {"01": 1, "2": 0, "3": 1, "4": 0, "5": 1}},
+    "space_local_prediction_key": {"prediction": {"local": {
+        " 1": [1, 2, 3], "2": [1, 2, 3], "3": [1, 2, 3], "4": [1, 2, 3], "5": [1, 2, 3]}}},
+    "plus_crash_input_key": {"adversary": {"name": "crash_after", "params": {
+        "round": 1, "inputs": {"+5": 1}}}},
+    "plus_persona_member": {"adversary": {"name": "persona_network", "params": {
+        "groups": {"w": {"+6": {"input": 0, "pred": None}}}}}},
 }
 
 
@@ -194,6 +220,26 @@ def test_simulate_echoes_whole_float_ids_as_integers(scenario_file, capsys):
     echoed = json.loads(capsys.readouterr().out)["scenario"]
     assert json.dumps([echoed["faulty"], echoed["prediction"]]) == \
         json.dumps([[6], {"global": [1, 2, 3, 4, 5]}])
+
+
+@pytest.mark.parametrize("patch, same_as", [
+    ({"adversary": {"name": "replay_honest", "params": {"input": 1, "pred": [1.0, 2, 3]}}},
+     {"adversary": {"name": "replay_honest", "params": {"input": 1, "pred": [1, 2, 3]}}}),
+    ({"protocol": "phase_king", "prediction": None, "params": {"t": 1.0}},
+     {"protocol": "phase_king", "prediction": None, "params": {"t": 1}}),
+], ids=["persona_pred", "budget_t"])
+def test_simulate_reads_whole_float_params_as_integers(scenario_file, patch, same_as, capsys):
+    doc = json.loads(scenario_file.read_text())
+    outputs = []
+    for variant in (patch, same_as):
+        scenario_file.write_text(json.dumps({**doc, **variant}))
+        assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0]["outcome"] == outputs[1]["outcome"]
+    # Adversary and protocol params are echoed as given.
+    echoed, given = outputs[0]["scenario"], {**doc, **patch}
+    assert json.dumps([echoed["adversary"], echoed["params"]]) == \
+        json.dumps([given["adversary"], given["params"]])
 
 
 def test_simulate_bug_while_building_the_run_is_an_internal_error(scenario_file, monkeypatch,
@@ -231,8 +277,8 @@ def _dumps(transcripts) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _small(protocol, mode, adversary, prediction=None, n=7):
-    return Scenario(n=n, mode=mode, alpha=Fraction(3, 5),
+def _small(protocol, adversary, prediction=None, n=7):
+    return Scenario(alpha=Fraction(3, 5),
                     config=Configuration(n, frozenset({n - 1, n}),
                                          {i: i % 2 for i in range(1, n - 1)}),
                     prediction=prediction, adversary=adversary, seed=1,
@@ -243,14 +289,14 @@ _P = frozenset({1, 2, 3, 6})
 # At n = 16 a node's round holds many messages, often several with one payload.
 _HALVES = split_brain((range(1, 8), range(8, 15)), 0, 1)
 _WRITER_CASES = {
-    "pred_ba": _small("pred_ba", "nonauth", random_noise(4), _P),
-    "auth_pred_ba": _small("auth_pred_ba", "auth", replay_honest(1), _P),
-    "phase_king": _small("phase_king", "nonauth", random_noise(2)),
-    "dolev_strong_ba": _small("dolev_strong_ba", "auth", replay_honest(0)),
-    "dolev_strong_broadcast": _small("dolev_strong_broadcast", "auth", silent()),
-    "crash_after": _small("pred_ba", "nonauth", crash_after(1), _P),
-    "dolev_strong_ba_n16": _small("dolev_strong_ba", "auth", _HALVES, n=16),
-    "pred_ba_n16": _small("pred_ba", "nonauth", _HALVES, frozenset(range(1, 17)), n=16),
+    "pred_ba": _small("pred_ba", random_noise(4), _P),
+    "auth_pred_ba": _small("auth_pred_ba", replay_honest(1), _P),
+    "phase_king": _small("phase_king", random_noise(2)),
+    "dolev_strong_ba": _small("dolev_strong_ba", replay_honest(0)),
+    "dolev_strong_broadcast": _small("dolev_strong_broadcast", silent()),
+    "crash_after": _small("pred_ba", crash_after(1), _P),
+    "dolev_strong_ba_n16": _small("dolev_strong_ba", _HALVES, n=16),
+    "pred_ba_n16": _small("pred_ba", _HALVES, frozenset(range(1, 17)), n=16),
 }
 
 
@@ -282,7 +328,7 @@ def test_transcript_writer_renders_each_nodes_received_list():
 
 
 def test_transcript_writer_with_no_honest_nodes():
-    sc = Scenario(n=4, mode="nonauth", alpha=Fraction(1, 2),
+    sc = Scenario(alpha=Fraction(1, 2),
                   config=Configuration(4, frozenset(range(1, 5)), {}),
                   prediction=frozenset({1, 2}), adversary=silent(), seed=0,
                   protocol="pred_ba")
@@ -321,7 +367,7 @@ class _AddressedOddly:
 
 def test_transcripts_log_each_message_once_with_its_sorted_receivers():
     # A message to no one leaves no entry; a receiver named twice is listed twice.
-    sc = _small("phase_king", "nonauth", silent(), n=4)
+    sc = _small("phase_king", silent(), n=4)
     _, transcripts = run_simulation(sc, protocol=_AddressedOddly)
     assert [r.sent for t in transcripts for r in t.rounds] == [[((1, 2, 2), '["twice",1]')]] * 2
     assert len({id(to) for t in transcripts for r in t.rounds for to, _ in r.sent}) == 1
@@ -391,13 +437,13 @@ def _pinned_scenarios():
     ids = range(1, 13)
     faulty = frozenset({3, 7, 11})
     honest = [i for i in ids if i not in faulty]
-    brain = Scenario(n=12, mode="nonauth", alpha=Fraction(2, 5),
+    brain = Scenario(alpha=Fraction(2, 5),
                      config=Configuration(12, faulty, {i: i % 2 for i in honest}),
                      prediction=frozenset(ids),
                      adversary=split_brain((honest[:4], honest[4:]), 0, 1),
                      seed=5, protocol="pred_ba")
     faulty = frozenset({2, 5, 9, 12})
-    replay = Scenario(n=12, mode="auth", alpha=Fraction(3, 5),
+    replay = Scenario(alpha=Fraction(3, 5),
                       config=Configuration(12, faulty,
                                            {i: 0 for i in ids if i not in faulty}),
                       prediction=frozenset(ids), adversary=replay_honest(1),
@@ -668,22 +714,22 @@ def _fuzz_bases():
     config = Configuration(n, frozenset({5, 6}), {i: i % 2 for i in range(1, 5)})
     P = frozenset(range(1, 5))
 
-    def doc(mode, protocol, adversary, prediction=None, **params):
-        return Scenario(n=n, mode=mode, alpha=Fraction(3, 5), config=config,
+    def doc(protocol, adversary, prediction=None, **params):
+        return Scenario(alpha=Fraction(3, 5), config=config,
                         prediction=prediction, adversary=adversary, seed=0,
                         protocol=protocol, params=params).to_json()
 
     return [
-        doc("nonauth", "pred_ba", split_brain(([1, 2], [3, 4]), 0, 1), P),
-        doc("auth", "auth_pred_ba", replay_honest(1, [1, 5]),
+        doc("pred_ba", split_brain(([1, 2], [3, 4]), 0, 1), P),
+        doc("auth_pred_ba", replay_honest(1, [1, 5]),
             {1: P, 2: P, 3: P, 4: frozenset()}),
-        doc("auth", "dolev_strong_broadcast",
+        doc("dolev_strong_broadcast",
             persona_network({"x": {5: (1, [5, 6]), 6: (0, None)}},
                             feed_overrides=[("x", [1], "x")],
                             emission=[("x", None, [1, 2, 3])], cutoff=3),
             participants=[1, 2, 3, 4, 5], t=1, sender=5),
-        doc("nonauth", "phase_king", crash_after(2, {5: 1}), t=1),
-        doc("auth", "dolev_strong_ba", random_noise(3)),
+        doc("phase_king", crash_after(2, {5: 1}), t=1),
+        doc("dolev_strong_ba", random_noise(3)),
     ]
 
 

@@ -1,5 +1,6 @@
 """Harness plumbing: trial construction, check logic, batteries, CSV output."""
 
+import functools
 import hashlib
 import json
 import random
@@ -59,7 +60,7 @@ def _config(n=10, f=3):
 def _scenario(config, prediction=None):
     if prediction is None:
         prediction = config.honest
-    return Scenario(n=config.n, mode="nonauth", alpha=Fraction(3, 5),
+    return Scenario(alpha=Fraction(3, 5),
                     config=config, prediction=prediction, adversary=silent(),
                     seed=0, protocol="pred_ba")
 
@@ -370,6 +371,47 @@ _SMALL_GRID = [(mode, alpha, n) for mode in ("nonauth", "auth")
 _TWO_CELLS = [("nonauth", Fraction(3, 5), 10), ("auth", Fraction(4, 5), 10)]
 _N10_FLAGSHIPS = (("nonauth", Fraction(4, 5), 10), ("auth", Fraction(4, 5), 10))
 
+
+class _Recording(_HungCache):
+    """Keeps every scenario a battery hands it, and runs none."""
+
+    def __init__(self):
+        super().__init__()
+        self.scenarios = []
+
+    def run(self, scenario):
+        self.scenarios.append(scenario)
+        return super().run(scenario)
+
+
+def _protocol_scenarios():
+    cache = _Recording()
+    verify_protocols(pk_seeds=1, ds_seeds=1, cache=cache)
+    return cache.scenarios
+
+
+_ROUND_TRIPS = {
+    # each library adversary in both modes, under a global and a local prediction
+    "trials": lambda: [
+        harness._trial(("round_trip", 0, mode, alpha, n, adv_name, 0), 3, adv_name,
+                       "random", predict, unique=True)
+        for mode, alpha, n in _TWO_CELLS for adv_name in LIBRARY
+        for predict in (lambda config, rng: frozenset(config.honest),
+                        functools.partial(harness._local_prediction, "noisy"))],
+    "impossibility": lambda: [sc for point in IMPOSSIBILITY_POINTS
+                              for sc in build_impossibility_scenarios(*point)],
+    "protocols": _protocol_scenarios,
+}
+
+
+@pytest.mark.parametrize("source", _ROUND_TRIPS)
+def test_scenarios_survive_a_json_round_trip(source):
+    scenarios = _ROUND_TRIPS[source]()
+    assert scenarios
+    for sc in scenarios:
+        assert Scenario.from_json(json.loads(json.dumps(sc.to_json()))) == sc
+
+
 # sha256 of each slice's canonical JSON (reports without elapsed_s) or CSV.
 # Any change to trial seeds, rng order, scenario construction, violation
 # records or report fields shows up here.
@@ -440,7 +482,7 @@ def _dolev_strong_runs() -> str:
                     for adv_name in library_names(len(honest)):
                         if faulty or adv_name == "silent":
                             scenarios.append(Scenario(
-                                n=m, mode="auth", alpha=Fraction(3, 4), config=config,
+                                alpha=Fraction(3, 4), config=config,
                                 prediction=None,
                                 adversary=materialize_adversary(adv_name, config),
                                 seed=1, protocol=protocol))
@@ -458,8 +500,7 @@ def _persona_view_runs() -> str:
     honest = sorted(set(range(1, n + 1)) - faulty)
     spoofed = frozenset(range(1, 9))
     scenarios = []
-    for mode, alpha, protocol in (("auth", Fraction(3, 4), "auth_pred_ba"),
-                                  ("nonauth", Fraction(3, 5), "pred_ba")):
+    for alpha, protocol in ((Fraction(3, 4), "auth_pred_ba"), (Fraction(3, 5), "pred_ba")):
         for prediction in (frozenset(range(1, n + 1)), frozenset(honest)):
             for unanimous in (True, False):
                 inputs = {i: 1 if unanimous else i % 2 for i in honest}
@@ -474,7 +515,7 @@ def _persona_view_runs() -> str:
                 ]
                 for adversary in attacks:
                     scenarios.append(Scenario(
-                        n=n, mode=mode, alpha=alpha, config=config,
+                        alpha=alpha, config=config,
                         prediction=prediction, adversary=adversary, seed=1,
                         protocol=protocol))
     return _runs_json(scenarios)

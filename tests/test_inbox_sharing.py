@@ -28,12 +28,10 @@ from byzsim.protocols import PhaseKing
 from byzsim.registry import factory_for
 from byzsim.simnet import Inbox, Scenario, run_simulation
 
-_PROTOCOLS = {"nonauth": ("pred_ba", "phase_king"),
-              "auth": ("auth_pred_ba", "dolev_strong_ba", "dolev_strong_broadcast")}
 _WRAPPERS = ("pred_ba", "auth_pred_ba")
 
 
-def _scenario(mode, protocol, adversary, n=10, faulty=(8, 9, 10), prediction=None,
+def _scenario(protocol, adversary, n=10, faulty=(8, 9, 10), prediction=None,
               alpha=Fraction(3, 5), seed=7):
     honest = [i for i in range(1, n + 1) if i not in faulty]
     config = Configuration(n, frozenset(faulty), {i: i % 2 for i in honest})
@@ -41,15 +39,14 @@ def _scenario(mode, protocol, adversary, n=10, faulty=(8, 9, 10), prediction=Non
         prediction = frozenset(range(1, n + 1))
     if not isinstance(adversary, simnet.AdversarySpec):
         adversary = materialize_adversary(adversary, config)
-    return Scenario(n=n, mode=mode, alpha=alpha, config=config, prediction=prediction,
+    return Scenario(alpha=alpha, config=config, prediction=prediction,
                     adversary=adversary, seed=seed, protocol=protocol)
 
 
 def _library_cases():
-    for mode, protocols in _PROTOCOLS.items():
-        for protocol in protocols:
-            for name in library_names(7):
-                yield pytest.param(mode, protocol, name, id=f"{protocol}-{name}")
+    for protocol in simnet.PROTOCOLS:
+        for name in library_names(7):
+            yield pytest.param(protocol, name, id=f"{protocol}-{name}")
 
 
 def _wrapped_run(sc, wrap_deliver, wrap_observe=None):
@@ -67,8 +64,8 @@ def _wrapped_run(sc, wrap_deliver, wrap_observe=None):
     return run_simulation(sc, protocol=factory, adversary=strategy)
 
 
-@pytest.mark.parametrize("mode, protocol, name", _library_cases())
-def test_deliver_and_observe_never_mutate_an_inbox(mode, protocol, name):
+@pytest.mark.parametrize("protocol, name", _library_cases())
+def test_deliver_and_observe_never_mutate_an_inbox(protocol, name):
     calls = []
 
     def checked_deliver(deliver):
@@ -86,7 +83,7 @@ def test_deliver_and_observe_never_mutate_an_inbox(mode, protocol, name):
             assert inboxes == before, f"observe mutated a round-{rnd} inbox"
         return wrapped
 
-    _wrapped_run(_scenario(mode, protocol, name), checked_deliver, checked_observe)
+    _wrapped_run(_scenario(protocol, name), checked_deliver, checked_observe)
     assert calls
 
 
@@ -177,32 +174,32 @@ def _sharing_cases():
     # against different members; Phase King groups overlap on 5, 6, 9, 10.
     l_a, l_b = frozenset({1, 2, 5, 6, 7, 9, 10}), frozenset({1, 3, 5, 6, 9, 10, 11})
     local_nonauth = {i: l_a if i <= 8 else l_b for i in honest}
-    yield "random_noise", _scenario("auth", "auth_pred_ba", random_noise(3), n, faulty)
-    yield "split_brain", _scenario("auth", "auth_pred_ba",
+    yield "random_noise", _scenario("auth_pred_ba", random_noise(3), n, faulty)
+    yield "split_brain", _scenario("auth_pred_ba",
                                    split_brain((honest[:4], honest[4:]), 0, 1), n, faulty)
-    yield "split_brain_nonauth", _scenario("nonauth", "pred_ba",
+    yield "split_brain_nonauth", _scenario("pred_ba",
                                            split_brain((honest[:4], honest[4:]), 0, 1),
                                            n, faulty)
-    yield "persona_network", _scenario("auth", "auth_pred_ba", network, n, faulty,
+    yield "persona_network", _scenario("auth_pred_ba", network, n, faulty,
                                        prediction=P)
-    yield "persona_views", _scenario("auth", "auth_pred_ba", mixed, n, faulty,
+    yield "persona_views", _scenario("auth_pred_ba", mixed, n, faulty,
                                      prediction=P | {1, 2})
-    yield "local_predictions", _scenario("auth", "auth_pred_ba", "replay_one", n, faulty,
+    yield "local_predictions", _scenario("auth_pred_ba", "replay_one", n, faulty,
                                          prediction=local)
     yield "local_predictions_nonauth", _scenario(
-        "nonauth", "pred_ba", replay_honest(1), n, faulty, prediction=local_nonauth)
-    yield "persona_views_nonauth", _scenario("nonauth", "pred_ba", mixed, n, faulty,
+        "pred_ba", replay_honest(1), n, faulty, prediction=local_nonauth)
+    yield "persona_views_nonauth", _scenario("pred_ba", mixed, n, faulty,
                                              prediction=P | {1, 2})
     for name in LIBRARY:
-        yield f"pred_ba-{name}", _scenario("nonauth", "pred_ba", name, n, faulty,
+        yield f"pred_ba-{name}", _scenario("pred_ba", name, n, faulty,
                                            prediction=P)
-        yield f"phase_king-{name}", _scenario("nonauth", "phase_king", name, n, (1, 2, 12))
-        yield f"dolev_strong_ba-{name}", _scenario("auth", "dolev_strong_ba", name, n, faulty)
+        yield f"phase_king-{name}", _scenario("phase_king", name, n, (1, 2, 12))
+        yield f"dolev_strong_ba-{name}", _scenario("dolev_strong_ba", name, n, faulty)
         yield f"dolev_strong_broadcast-{name}", _scenario(
-            "auth", "dolev_strong_broadcast", name, n, (2, 3, 4, 12))
+            "dolev_strong_broadcast", name, n, (2, 3, 4, 12))
     # The designated sender (node 1) is faulty and shows each half another value.
     yield "dolev_strong_broadcast-equivocating", _scenario(
-        "auth", "dolev_strong_broadcast", "split_brain", n, (1, 2, 3, 12))
+        "dolev_strong_broadcast", "split_brain", n, (1, 2, 3, 12))
 
 
 _SHARING = dict(_sharing_cases())
@@ -349,7 +346,7 @@ def _pooled_run(sc, pool):
                                   "dolev_strong_ba-replay_one"])
 def test_list_objects_reused_in_later_rounds_and_runs_are_counted_again(name):
     sc = _SHARING[name]
-    other = Scenario(n=sc.n, mode=sc.mode, alpha=sc.alpha,
+    other = Scenario(alpha=sc.alpha,
                      config=Configuration(sc.n, sc.config.faulty,
                                           {i: 1 - b for i, b in sc.config.inputs.items()}),
                      prediction=sc.prediction, adversary=sc.adversary, seed=sc.seed + 1,
@@ -478,7 +475,7 @@ def test_every_inbox_dies_with_its_run(name):
 
 
 _EQUAL_VIEWS = {
-    "replay_honest": _scenario("auth", "auth_pred_ba", replay_honest(1), 12, (1, 2, 3, 4)),
+    "replay_honest": _scenario("auth_pred_ba", replay_honest(1), 12, (1, 2, 3, 4)),
     "split_brain": _SHARING["split_brain"],
     "split_brain_nonauth": _SHARING["split_brain_nonauth"],
 }

@@ -17,7 +17,7 @@ from byzsim.simnet import Scenario, run_simulation
 
 def _run(mode, alpha, n, faulty, inputs, prediction, adversary=None, seed=0):
     sc = Scenario(
-        n=n, mode=mode, alpha=alpha,
+        alpha=alpha,
         config=Configuration(n, frozenset(faulty), inputs),
         prediction=prediction, adversary=adversary or silent(), seed=seed,
         protocol="pred_ba" if mode == "nonauth" else "auth_pred_ba",

@@ -6,8 +6,6 @@ participants/budget params, the same way the wrappers schedule them.
 
 from fractions import Fraction
 
-import pytest
-
 from byzsim.adversary import (
     crash_after,
     random_noise,
@@ -21,16 +19,15 @@ from byzsim.simnet import AdversaryStrategy, Scenario, payload_digest, run_simul
 
 
 def _run(protocol, n, faulty, inputs, adversary=None, seed=0, t=None,
-         sender=None, mode=None):
+         sender=None):
     params = {}
     if t is not None:
         params["t"] = t
     if sender is not None:
         params["sender"] = sender
-    mode = mode or ("nonauth" if protocol == "phase_king" else "auth")
     override = adversary if isinstance(adversary, AdversaryStrategy) else None
     sc = Scenario(
-        n=n, mode=mode, alpha=Fraction(1, 2) if mode == "nonauth" else Fraction(3, 4),
+        alpha=Fraction(1, 2) if protocol == "phase_king" else Fraction(3, 4),
         config=Configuration(n, frozenset(faulty), inputs),
         prediction=None,
         adversary=silent() if override else (adversary or silent()),
@@ -227,11 +224,3 @@ def test_ds_ba_library_battery_within_budget():
             out = _run("dolev_strong_ba", 5, {4, 5}, {1: 1, 2: 1, 3: 1},
                        adversary=build(honest), seed=k, t=2)
             assert set(out.decisions.values()) == {1}, (name, k)
-
-
-def test_protocol_mode_mismatch_is_rejected():
-    with pytest.raises(ValueError):
-        _run("phase_king", 4, set(), {1: 0, 2: 0, 3: 0, 4: 0}, t=1, mode="auth")
-    with pytest.raises(ValueError):
-        _run("dolev_strong_ba", 4, set(), {1: 0, 2: 0, 3: 0, 4: 0}, t=1,
-             mode="nonauth")

@@ -1,5 +1,6 @@
 """Engine-level checks: payload codec, scenario files, determinism, ledger."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -25,10 +26,10 @@ from byzsim.simnet import (
 
 
 def _scenario(adversary=None, seed=3, prediction=frozenset(range(1, 7)),
-              protocol="pred_ba", mode="nonauth", alpha=Fraction(3, 4)):
+              protocol="pred_ba", alpha=Fraction(3, 4)):
     cfg = Configuration(8, frozenset({7, 8}), {i: i % 2 for i in range(1, 7)})
     return Scenario(
-        n=8, mode=mode, alpha=alpha, config=cfg, prediction=prediction,
+        alpha=alpha, config=cfg, prediction=prediction,
         adversary=adversary or silent(), seed=seed, protocol=protocol,
     )
 
@@ -104,20 +105,26 @@ def test_scenario_rejects_bad_documents():
 @pytest.mark.parametrize("protocol, mode", list(simnet.PROTOCOLS.items()))
 def test_scenario_rejects_a_protocol_in_the_other_mode(protocol, mode):
     other = "auth" if mode == "nonauth" else "nonauth"
+    doc = _scenario(protocol=protocol).to_json()
+    assert doc["mode"] == mode
     with pytest.raises(ValueError, match=f"runs in {mode} mode, not {other}"):
-        _scenario(protocol=protocol, mode=other)
+        Scenario.from_json({**doc, "mode": other})
 
 
 def test_every_protocol_has_one_builder_and_one_mode():
     assert set(registry._BUILDERS) == set(simnet.PROTOCOLS)
 
 
-def test_scenario_n_must_match_configuration():
-    cfg = Configuration(4, frozenset({4}), {1: 0, 2: 0, 3: 0})
-    with pytest.raises(ValueError):
-        Scenario(n=5, mode="nonauth", alpha=Fraction(1, 2), config=cfg,
-                 prediction=None, adversary=silent(), seed=0,
-                 protocol="phase_king")
+def test_scenario_takes_n_from_its_configuration_and_mode_from_its_protocol():
+    sc = _scenario(protocol="auth_pred_ba")
+    fields = [f.name for f in dataclasses.fields(Scenario)]
+    assert fields == ["alpha", "config", "prediction", "adversary", "seed", "protocol",
+                      "params"]
+    assert (sc.n, sc.mode) == (8, "auth")
+    kwargs = {name: getattr(sc, name) for name in fields}
+    for extra in ({"n": 8}, {"mode": "auth"}):
+        with pytest.raises(TypeError):
+            Scenario(**kwargs, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ def test_transcripts_encode_each_payload_once_per_round(monkeypatch):
     # The memo keys on the payload object: an equal payload the adversary
     # built itself is a second object and may be encoded again.
     n, faulty = 12, frozenset({2, 5, 9, 12})
-    sc = Scenario(n=n, mode="auth", alpha=Fraction(3, 5),
+    sc = Scenario(alpha=Fraction(3, 5),
                   config=Configuration(n, faulty, {i: 0 for i in range(1, n + 1)
                                                    if i not in faulty}),
                   prediction=frozenset(range(1, n + 1)), adversary=replay_honest(1),
@@ -222,7 +229,7 @@ def test_finished_run_leaves_no_reference_cycles():
     # Persona instances, signers and the ledger must be freed by reference
     # counting alone, or every finished run waits for the cyclic collector.
     cfg = Configuration(40, frozenset(range(26, 41)), {i: i % 2 for i in range(1, 26)})
-    sc = Scenario(n=40, mode="auth", alpha=Fraction(3, 5), config=cfg,
+    sc = Scenario(alpha=Fraction(3, 5), config=cfg,
                   prediction=frozenset(range(1, 41)), adversary=replay_honest(1),
                   seed=0, protocol="auth_pred_ba")
     gc.collect()
@@ -335,8 +342,7 @@ def test_adversary_cannot_take_honest_keys():
         def begin(self, ctx):
             ctx.signer_for(1)  # honest id
 
-    sc = _scenario(mode="auth", alpha=Fraction(3, 4),
-                   protocol="auth_pred_ba")
+    sc = _scenario(protocol="auth_pred_ba")
     with pytest.raises(ForgeryError):
         run_simulation(sc, adversary=KeyThief())
 
@@ -346,7 +352,7 @@ def test_adversary_cannot_puppet_honest_instances_in_auth_mode():
         def begin(self, ctx):
             ctx.make_instance(2, 1, None)  # honest id, auth mode
 
-    sc = _scenario(mode="auth", alpha=Fraction(3, 4), protocol="auth_pred_ba")
+    sc = _scenario(protocol="auth_pred_ba")
     with pytest.raises(ForgeryError):
         run_simulation(sc, adversary=Puppeteer())
 
