@@ -186,14 +186,24 @@ class _Personas(AdversaryStrategy):
                     raise ForgeryError(
                         f"auth mode: cannot run an instance of honest node {node} "
                         f"without forging its signatures")
+        for g, senders, from_g in feed_overrides:
+            for name in (g, from_g):
+                if name not in groups:
+                    raise ValueError(f"feed override names unknown group {name!r}")
+            for s in senders:
+                if s not in groups[from_g]:
+                    raise ValueError(f"feed override group {from_g!r} has no instance "
+                                     f"of node {s}")
         self._emit_rules = []
         for g, senders, receivers in emission:
+            if g not in groups:
+                raise ValueError(f"emission rule names unknown group {g!r}")
             pick = tuple(sorted(senders if senders is not None else groups[g]))
             for s in pick:
                 if s not in faulty:
                     raise ForgeryError(
                         f"emission rule names honest node {s} as sender")
-                if s not in groups.get(g, ()):
+                if s not in groups[g]:
                     raise ValueError(f"group {g!r} has no instance of node {s}")
             self._emit_rules.append((g, pick, receivers))
         self.groups = groups
@@ -230,7 +240,7 @@ class _Personas(AdversaryStrategy):
     def _feed_group(self, g: str, s: int) -> Optional[str]:
         for g2, senders, from_g in self.feed_overrides:
             if g2 == g and s in senders:
-                return from_g if (from_g, s) in self.instances else None
+                return from_g
         if (g, s) in self.instances:
             return g
         return None
@@ -319,6 +329,9 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
             raise ValueError("crash round must be >= 0")
         inputs = {field_key(k, n, "crash inputs key"): field_bit(v, "persona input")
                   for k, v in field_items(p.get("inputs") or {}, "crash inputs")}
+        stray = sorted(set(inputs) - faulty)
+        if stray:
+            raise ValueError(f"crash inputs name non-faulty node {stray[0]}")
         groups = {"w": {c: (inputs.get(c, 0), None) for c in faulty}}
         return _Personas(groups, [], [("w", None, honest)], rnd, scenario)
 

@@ -98,12 +98,14 @@ class _WrapperBase:
         return self.inner_rounds + 1
 
     def outbox(self, rnd: int):
-        if self.active and rnd <= self.inner_rounds:
+        if not self.active:
+            return ()
+        if rnd <= self.inner_rounds:
             return self.inner.outbox(rnd)
-        if self.active and rnd == self.adopt_round:
+        if rnd == self.adopt_round:
             everyone = tuple(range(1, self.n + 1))
             return [(everyone, ("adopt", self.inner.decision))]
-        return []
+        return ()
 
     def deliver(self, rnd: int, inbox):
         if self.active and rnd <= self.inner_rounds:

@@ -13,7 +13,6 @@ garbage are treated alike). Broadcasts include the sender itself.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .simnet import Memo, once_per_inbox, payload_digest
@@ -150,59 +149,56 @@ _LINK_DIGESTS = Memo(lambda key: payload_digest(("ds-link", *key)))
 
 
 class _ChainIndex:
-    """The signed-broadcast relays of one round's inbox, by (sender, value).
+    """The signed-broadcast relays of one round's inbox, by sender and value.
 
-    The first valid relay for each (sender, value) is found on first demand,
-    in inbox order, and then serves every node that holds the same inbox:
+    ``relays`` maps each sender, in ascending order, to the values its
+    relays offer, each with the inbox position of its first relay. Relays
+    with a malformed shape, a sender outside the group, a value other than
+    0/1 or another round's number never qualify and are left out.
+
+    A sender's hits, the first valid relay of each of its values, are found
+    on first demand and then serve every node that holds the same inbox:
     chain validity does not depend on the node checking it. A round-r chain
     verifies links over signer prefixes shorter than r, and the relay
     signatures minted while round r is delivered are over prefixes of
-    length r. Relays with a malformed shape, a sender outside the group, a
-    value other than 0/1 or another round's number never qualify and are
-    left out.
+    length r. The index keeps no reference to the inbox it is kept on.
     """
 
     def __init__(self, inbox, rnd: int, group: frozenset):
         self.group = group
-        self.relays = {}  # sender -> {value: [(position, payload), ...]}
-        self._first = {}  # (sender, value) -> (position, payload, signers) or None
-        relays = self.relays
+        self.rnd = rnd
+        relays = {}  # sender -> {value: position of its first relay}
         for pos, (_, p) in enumerate(inbox):
             if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
                     and p[1] in group and (p[3] == 0 or p[3] == 1)):
                 by_value = relays.get(p[1])
                 if by_value is None:
-                    by_value = relays[p[1]] = {}
-                same = by_value.get(p[3])
-                if same is None:
-                    by_value[p[3]] = [(pos, p)]
-                else:
-                    same.append((pos, p))
+                    relays[p[1]] = {p[3]: pos}
+                elif p[3] not in by_value:
+                    by_value[p[3]] = pos
+        self.relays = dict(sorted(relays.items()))
+        self.hits = {}  # sender -> ((value, chain, signers), ...)
 
-    def accepted(self, sender, extracted, verify) -> list:
-        """The first valid relay of each value of sender not in extracted,
-        as (position, payload, signers), in inbox order."""
-        hits = []
-        for v, relays in self.relays[sender].items():
-            if v in extracted:
-                continue
-            key = (sender, v)
-            if key in self._first:
-                hit = self._first[key]
-            else:
-                hit = self._first[key] = self._first_valid(relays, verify)
-            if hit is not None:
-                hits.append(hit)
-        if len(hits) == 2 and hits[1][0] < hits[0][0]:
-            hits.reverse()
+    def sender_hits(self, sender, inbox, verify) -> tuple:
+        """The first valid relay in inbox of each value of sender, as
+        (value, chain, signers), in inbox order; made on first demand and
+        kept."""
+        found = []
+        rnd = self.rnd
+        for v, first in self.relays[sender].items():
+            for pos in range(first, len(inbox)):
+                p = inbox[pos][1]
+                if not (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds"
+                        and p[1] == sender and p[2] == rnd and p[3] == v):
+                    continue
+                signers = self._signers(p, verify)
+                if signers is not None:
+                    found.append((pos, (v, p[4], signers)))
+                    break
+        if len(found) == 2 and found[1][0] < found[0][0]:
+            found.reverse()
+        hits = self.hits[sender] = tuple(hit for _, hit in found)
         return hits
-
-    def _first_valid(self, relays, verify) -> Optional[tuple]:
-        for pos, payload in relays:
-            signers = self._signers(payload, verify)
-            if signers is not None:
-                return pos, payload, signers
-        return None
 
     def _signers(self, payload, verify) -> Optional[tuple]:
         """The signers of payload's chain if the chain is valid, else None."""
@@ -224,9 +220,6 @@ class _ChainIndex:
         return tuple(signers)
 
 
-_SENDER = itemgetter(0)
-
-
 class _SignedRelays:
     """One node's whole signed-broadcast state, for every sender at once.
 
@@ -235,15 +228,18 @@ class _SignedRelays:
     bound to its exact signer sequence and value. A relay received in round
     r is accepted iff its chain carries exactly r pairwise-distinct
     participant signatures, the first by the broadcast's sender, all valid
-    (see _ChainIndex). Each value is extracted once per sender; a node other
-    than the sender relays what it extracts in rounds 1..t, with its own
-    signature appended, unless its signature is already on the chain.
+    (see _ChainIndex). Each value is extracted once per sender; a node
+    relays what it extracts in rounds 1..t, with its own signature
+    appended, unless its signature is already on the chain (as it always is
+    on its own broadcast).
 
     ``extracted`` maps each sender to the values extracted from its
     broadcast; a sender without an entry extracted nothing. ``_relays`` maps
-    each round to the (sender, payload) relays queued for it. Chain indexes
-    are built once per inbox, round and group (see simnet.once_per_inbox),
-    so every node handed the same inbox shares one.
+    each round to the messages queued for it, in ascending order of
+    broadcast sender; outbox hands that list out as it is, or () when
+    nothing is queued. Chain indexes are built once per non-empty inbox,
+    round and group (see simnet.once_per_inbox), so every node handed the
+    same inbox shares one; an empty inbox builds none.
     """
 
     def __init__(self, me, participants, t, signer):
@@ -255,37 +251,46 @@ class _SignedRelays:
         self._group = frozenset(self.participants)
         self._signer = signer
         self.extracted = {}  # sender -> {value, ...}
-        self._relays = {}  # round -> [(sender, payload), ...]
+        self._relays = {}  # round -> [(participants, payload), ...]
 
     def _broadcast(self, value) -> None:
         """Start this node's own broadcast of value (None sends nothing)."""
         if value is not None:
             me, v = self.me, int(value)
             chain = ((me, self._signer.sign(_LINK_DIGESTS[me, v, ()])),)
-            self._relays[1] = [(me, ("ds", me, 1, v, chain))]
+            self._relays[1] = [(self.participants, ("ds", me, 1, v, chain))]
             self.extracted[me] = {v}
 
-    def _take_relays(self, rnd: int) -> list:
-        """The relays queued for rnd, sorted by broadcast sender; the sort is
-        stable, so each sender's relays keep the order they were queued in."""
-        relays = sorted(self._relays.pop(rnd, ()), key=_SENDER)
-        return [(self.participants, p) for _, p in relays]
+    def _extract(self, rnd: int, inbox, index: _ChainIndex, offers) -> None:
+        """Extract the values of inbox's valid relays from the senders in
+        offers, (sender, offered values) pairs of index.relays in ascending
+        sender order, and queue the relays they call for.
 
-    def _index(self, rnd: int, inbox) -> _ChainIndex:
-        return once_per_inbox(inbox, _ChainIndex, rnd, self._group)
-
-    def _accept(self, rnd: int, s, index: _ChainIndex) -> None:
-        """Extract the values of sender s's valid relays in index, and queue
-        the relays they call for."""
-        me, extracted = self.me, self.extracted
-        relays = rnd <= self.t and me != s
-        for _, (_, _, _, val, chain), signers in index.accepted(
-                s, extracted.get(s, ()), self._signer.verify):
-            extracted.setdefault(s, set()).add(val)
-            if relays and me not in signers:
-                token = self._signer.sign(_LINK_DIGESTS[s, val, signers])
-                self._relays.setdefault(rnd + 1, []).append(
-                    (s, ("ds", s, rnd + 1, val, chain + ((me, token),))))
+        A sender whose offered values are all extracted has nothing new, so
+        its hits are not looked up."""
+        extracted, me, hits_of = self.extracted, self.me, index.hits
+        queue = [] if rnd <= self.t else None
+        nxt = rnd + 1
+        for s, offered in offers:
+            done = extracted.get(s)
+            if done is not None and done.issuperset(offered):
+                continue
+            hits = hits_of.get(s)
+            if hits is None:
+                hits = index.sender_hits(s, inbox, self._signer.verify)
+            for v, chain, signers in hits:
+                if done is None:
+                    done = extracted[s] = {v}
+                elif v in done:
+                    continue
+                else:
+                    done.add(v)
+                if queue is not None and me not in signers:
+                    token = self._signer.sign(_LINK_DIGESTS[s, v, signers])
+                    queue.append((self.participants,
+                                  ("ds", s, nxt, v, chain + ((me, token),))))
+        if queue:
+            self._relays[nxt] = queue
 
 
 class DolevStrongBroadcast(_SignedRelays):
@@ -300,14 +305,16 @@ class DolevStrongBroadcast(_SignedRelays):
             self._broadcast(value)
 
     def outbox(self, rnd: int):
-        return self._take_relays(rnd)
+        return self._relays.pop(rnd, ())
 
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
             return
-        index = self._index(rnd, inbox)
-        if self.sender in index.relays:
-            self._accept(rnd, self.sender, index)
+        if inbox:
+            index = once_per_inbox(inbox, _ChainIndex, rnd, self._group)
+            offered = index.relays.get(self.sender)
+            if offered is not None:
+                self._extract(rnd, inbox, index, ((self.sender, offered),))
         if rnd == self.rounds:
             values = self.extracted.get(self.sender, ())
             self.decision = next(iter(values)) if len(values) == 1 else 0
@@ -334,7 +341,7 @@ class DolevStrongBA(_SignedRelays):
     def outbox(self, rnd: int):
         if rnd == self.rounds:
             return [(self.participants, ("dsdec", self._verdict))]
-        return self._take_relays(rnd)
+        return self._relays.pop(rnd, ())
 
     def deliver(self, rnd: int, inbox):
         if rnd > self.rounds:
@@ -342,13 +349,9 @@ class DolevStrongBA(_SignedRelays):
         if rnd == self.rounds:
             self.decision = self._verdict
             return
-        index = self._index(rnd, inbox)
-        extracted = self.extracted
-        for s, offered in index.relays.items():
-            # A sender whose every offered value is extracted has nothing new.
-            done = extracted.get(s)
-            if done is None or not done.issuperset(offered):
-                self._accept(rnd, s, index)
+        if inbox:
+            index = once_per_inbox(inbox, _ChainIndex, rnd, self._group)
+            self._extract(rnd, inbox, index, index.relays.items())
         if rnd == self.rounds - 1:
-            ones = sum(values == {1} for values in extracted.values())
+            ones = sum(values == {1} for values in self.extracted.values())
             self._verdict = 1 if 2 * ones > len(self.participants) else 0

@@ -86,11 +86,15 @@ def test_simulate_missing_file_is_usage_error(tmp_path, capsys):
     assert "byzsim: error:" in capsys.readouterr().err
 
 
-def _persona_with_cutoff(cutoff):
+def _persona_with_rules(**rules):
     return {"name": "persona_network", "params": {
-        "groups": {"w": {"6": {"input": 0, "pred": None}}},
-        "emission": [{"group": "w", "senders": None, "receivers": [1, 2, 3, 4, 5]}],
-        "cutoff": cutoff}}
+        "groups": {"w": {"6": {"input": 0, "pred": None}}}, **rules}}
+
+
+def _persona_with_cutoff(cutoff):
+    return _persona_with_rules(
+        emission=[{"group": "w", "senders": None, "receivers": [1, 2, 3, 4, 5]}],
+        cutoff=cutoff)
 
 
 # Each entry patches a valid scenario file. Faults in the document's fields,
@@ -200,6 +204,21 @@ _MALFORMED = {
         "round": 1, "inputs": {"+5": 1}}}},
     "plus_persona_member": {"adversary": {"name": "persona_network", "params": {
         "groups": {"w": {"+6": {"input": 0, "pred": None}}}}}},
+    # Every group a persona rule names exists and, as a feed source, runs an
+    # instance of each sender it feeds; crash inputs are for faulty ids.
+    **{name: {"adversary": _persona_with_rules(**rules)} for name, rules in (
+        ("feed_override_unknown_groups", {"feed_overrides": [
+            {"group": "nope", "senders": [1], "from_group": "gone"}]}),
+        ("feed_override_unknown_from_group", {"feed_overrides": [
+            {"group": "w", "senders": [1], "from_group": "gone"}]}),
+        ("feed_override_unknown_group", {"feed_overrides": [
+            {"group": "gone", "senders": [6], "from_group": "w"}]}),
+        ("feed_override_sender_without_instance", {"feed_overrides": [
+            {"group": "w", "senders": [1], "from_group": "w"}]}),
+        ("emission_unknown_group", {"emission": [
+            {"group": "zz", "senders": None, "receivers": [1]}]}))},
+    "crash_input_for_honest_id": {"adversary": {"name": "crash_after", "params": {
+        "round": 1, "inputs": {"3": 1}}}},
 }
 
 
@@ -210,6 +229,24 @@ def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys
     scenario_file.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
     assert "byzsim: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("name", "message"), [
+    ("feed_override_unknown_groups", "feed override names unknown group 'nope'"),
+    ("feed_override_unknown_from_group", "feed override names unknown group 'gone'"),
+    ("feed_override_unknown_group", "feed override names unknown group 'gone'"),
+    ("feed_override_sender_without_instance",
+     "feed override group 'w' has no instance of node 1"),
+    ("emission_unknown_group", "emission rule names unknown group 'zz'"),
+    ("crash_input_for_honest_id", "crash inputs name non-faulty node 3"),
+])
+def test_persona_rule_errors_say_what_is_wrong(scenario_file, capsys, name, message):
+    doc = json.loads(scenario_file.read_text())
+    doc.update(_MALFORMED[name])
+    scenario_file.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"byzsim: error: invalid scenario: ValueError: {message}\n"
 
 
 def test_simulate_echoes_whole_float_ids_as_integers(scenario_file, capsys):
@@ -725,7 +762,7 @@ def _fuzz_bases():
             {1: P, 2: P, 3: P, 4: frozenset()}),
         doc("dolev_strong_broadcast",
             persona_network({"x": {5: (1, [5, 6]), 6: (0, None)}},
-                            feed_overrides=[("x", [1], "x")],
+                            feed_overrides=[("x", [5], "x")],
                             emission=[("x", None, [1, 2, 3])], cutoff=3),
             participants=[1, 2, 3, 4, 5], t=1, sender=5),
         doc("phase_king", crash_after(2, {5: 1}), t=1),
@@ -734,6 +771,14 @@ def _fuzz_bases():
 
 
 _FUZZ_BASES = _fuzz_bases()
+
+
+@pytest.mark.parametrize("base", _FUZZ_BASES, ids=lambda doc: doc["protocol"])
+def test_every_fuzz_base_is_a_valid_scenario(base, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(base))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--scenario", str(scenario)]) == 0
 _WRONG = [None, True, -1, 0, 2.5, "x", "", [], [1, "a"], {}, {"a": 1}, [[1]],
           float("inf"), float("nan"), "1/0", "3/5", "pred_ba"]
 _OUT_OF_RANGE = [0, -1, 7, 99, [0], [7, 1], {"7": 1}, {"0": [1]}]

@@ -19,8 +19,8 @@ from fractions import Fraction
 import pytest
 
 from byzsim import predba, protocols, simnet
-from byzsim.adversary import (build_strategy, persona_network, random_noise,
-                              replay_honest, split_brain)
+from byzsim.adversary import (build_strategy, crash_after, persona_network,
+                              random_noise, replay_honest, split_brain)
 from byzsim.core import Configuration
 from byzsim.harness import LIBRARY, library_names, materialize_adversary
 from byzsim.predba import PredBA
@@ -519,3 +519,69 @@ def test_persona_views_equal_to_an_honest_inbox_are_that_inbox(monkeypatch, name
             assert any(box is view for box in same), rnd
     assert equal
     assert built and max(built.values()) == 1, [k[:3] for k, v in built.items() if v > 1]
+
+
+# ---------------------------------------------------------------------------
+# Idle rounds cost nothing
+# ---------------------------------------------------------------------------
+
+
+def _idle_run(monkeypatch, sc):
+    """Run sc; returns (the length of every inbox a chain index was built
+    for, what outbox gave every time a Dolev-Strong instance had no relay
+    queued for the round and every time a passive wrapper node was asked
+    during the inner rounds)."""
+    built, idle = [], []
+
+    def counting(inbox, *args, fn=protocols._ChainIndex):
+        built.append(len(inbox))
+        return fn(inbox, *args)
+
+    monkeypatch.setattr(protocols, "_ChainIndex", counting)
+
+    def watch(inst, has_nothing):
+        outbox = inst.outbox
+
+        def watched(rnd):
+            nothing = has_nothing(rnd)
+            out = outbox(rnd)
+            if nothing:
+                idle.append(out)
+            return out
+        inst.outbox = watched
+
+    make = factory_for(sc)
+
+    def factory(ctx):
+        inst = make(ctx)
+        ds = getattr(inst, "inner", inst)
+        if ds is None:
+            watch(inst, lambda rnd: rnd <= inst.inner_rounds)
+        elif isinstance(ds, protocols.DolevStrongBA):
+            watch(ds, lambda rnd: rnd < ds.rounds and rnd not in ds._relays)
+        return inst
+
+    run_simulation(sc, protocol=factory, record_transcripts=False)
+    return built, idle
+
+
+def test_idle_rounds_build_no_chain_index_and_send_nothing(monkeypatch):
+    # Bare agreement among m = 10 (t = 4, six rounds), 8 to 10 silent: the
+    # round-1 broadcasts and round-2 relays each build one index for the
+    # shared inbox; rounds 3 to 5 carry nothing, so the seven honest nodes
+    # build none and each outbox gives () there.
+    with monkeypatch.context() as patch:
+        built, idle = _idle_run(patch, _scenario("dolev_strong_ba", "silent"))
+    assert len(built) == 2 and min(built) > 0
+    assert len(idle) == 7 * 3 and all(out == () and type(out) is tuple for out in idle)
+    # The wrapper at n = 12 with P = {1..7} pads L to {1..9} (t - 1 = 4, six
+    # inner rounds) and 1 to 4 crash after round 2. Rounds 1 and 2 each
+    # build one index; after that the five active honest nodes and the four
+    # personas have nothing queued in rounds 3 to 5, and the three passive
+    # nodes never do: 5 * 3 + 4 * 3 + 3 * 6 idle outboxes, all ().
+    sc = _scenario("auth_pred_ba", crash_after(2), 12, (1, 2, 3, 4),
+                   prediction=frozenset(range(1, 8)))
+    with monkeypatch.context() as patch:
+        built, idle = _idle_run(patch, sc)
+    assert len(built) == 2 and min(built) > 0
+    assert len(idle) == 45 and all(out == () and type(out) is tuple for out in idle)

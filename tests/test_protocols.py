@@ -6,6 +6,8 @@ participants/budget params, the same way the wrappers schedule them.
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from byzsim.adversary import (
     crash_after,
     random_noise,
@@ -14,8 +16,23 @@ from byzsim.adversary import (
     split_brain,
 )
 from byzsim.core import Configuration
-from byzsim.protocols import ds_ba_rounds, ds_broadcast_rounds, phase_king_rounds
-from byzsim.simnet import AdversaryStrategy, Scenario, payload_digest, run_simulation
+from byzsim.protocols import (
+    _LINK_DIGESTS,
+    DolevStrongBA,
+    DolevStrongBroadcast,
+    ds_ba_rounds,
+    ds_broadcast_rounds,
+    phase_king_rounds,
+)
+from byzsim.simnet import (
+    AdversaryStrategy,
+    Inbox,
+    Scenario,
+    SignatureLedger,
+    Signer,
+    payload_digest,
+    run_simulation,
+)
 
 
 def _run(protocol, n, faulty, inputs, adversary=None, seed=0, t=None,
@@ -224,3 +241,211 @@ def test_ds_ba_library_battery_within_budget():
             out = _run("dolev_strong_ba", 5, {4, 5}, {1: 1, 2: 1, 3: 1},
                        adversary=build(honest), seed=k, t=2)
             assert set(out.decisions.values()) == {1}, (name, k)
+
+
+# ---------------------------------------------------------------------------
+# Dolev-Strong delivery against the per-sender reference
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceIndex:
+    """The chain index as it was before delivery became one loop per node:
+    every qualifying relay kept per (sender, value) as (position, payload),
+    and each (sender, value)'s first valid relay found for the node that
+    asks, skipping the values it has extracted."""
+
+    def __init__(self, inbox, rnd, group):
+        self.group = group
+        self.relays = {}  # sender -> {value: [(position, payload), ...]}
+        for pos, (_, p) in enumerate(inbox):
+            if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
+                    and p[1] in group and (p[3] == 0 or p[3] == 1)):
+                self.relays.setdefault(p[1], {}).setdefault(p[3], []).append((pos, p))
+
+    def accepted(self, sender, extracted, verify):
+        hits = []
+        for v, relays in self.relays[sender].items():
+            if v in extracted:
+                continue
+            for pos, payload in relays:
+                signers = self._signers(payload, verify)
+                if signers is not None:
+                    hits.append((pos, payload, signers))
+                    break
+        if len(hits) == 2 and hits[1][0] < hits[0][0]:
+            hits.reverse()
+        return hits
+
+    def _signers(self, payload, verify):
+        _, s, rnd, v, chain = payload
+        if not isinstance(chain, tuple) or len(chain) != rnd:
+            return None
+        signers = []
+        for link in chain:
+            if not (isinstance(link, tuple) and len(link) == 2):
+                return None
+            signers.append(link[0])
+        if signers[0] != s or len(set(signers)) != len(signers):
+            return None
+        if not self.group.issuperset(signers):
+            return None
+        for j, (who, token) in enumerate(chain):
+            if not verify(token, who, _LINK_DIGESTS[s, v, tuple(signers[:j])]):
+                return None
+        return tuple(signers)
+
+
+def _reference_deliver(node, rnd, inbox, extracted, signer):
+    """The per-sender delivery of node's class on a copy of its state:
+    updates extracted in place and returns (the relays queued for rnd + 1
+    as outbox hands them out, _verdict for agreement or decision for
+    broadcast)."""
+    queued = []  # (sender, payload)
+    me, t, ba = node.me, node.t, isinstance(node, DolevStrongBA)
+    index = _ReferenceIndex(inbox, rnd, frozenset(node.participants))
+
+    def accept(s):
+        relays = rnd <= t and me != s
+        for _, (_, _, _, val, chain), signers in index.accepted(
+                s, extracted.get(s, ()), signer.verify):
+            extracted.setdefault(s, set()).add(val)
+            if relays and me not in signers:
+                token = signer.sign(_LINK_DIGESTS[s, val, signers])
+                queued.append((s, ("ds", s, rnd + 1, val, chain + ((me, token),))))
+
+    if ba:
+        for s, offered in index.relays.items():
+            done = extracted.get(s)
+            if done is None or not done.issuperset(offered):
+                accept(s)
+        result = None
+        if rnd == node.rounds - 1:
+            ones = sum(values == {1} for values in extracted.values())
+            result = 1 if 2 * ones > len(node.participants) else 0
+    else:
+        if node.sender in index.relays:
+            accept(node.sender)
+        result = None
+        if rnd == node.rounds:
+            values = extracted.get(node.sender, ())
+            result = next(iter(values)) if len(values) == 1 else 0
+    queued.sort(key=lambda item: item[0])
+    return [(node.participants, p) for _, p in queued], result
+
+
+_DS_GROUP = (1, 2, 3, 4, 5)
+_DS_IDS = _DS_GROUP + (6, 7)  # 6 and 7 are outside the group
+# How a generated relay is made: each kind past "valid" breaks one rule.
+_RELAY_KINDS = ("valid", "valid", "valid", "unminted", "wrong_token", "short", "long",
+                "first_not_sender", "repeated_signer", "outsider_signer", "bad_link",
+                "list_chain", "wrong_round", "outsider_sender", "bad_value", "bool_value",
+                "four_fields", "list_payload", "other_tag", "not_ds")
+
+
+@st.composite
+def _ds_relay(draw, rnd):
+    kind = draw(st.sampled_from(_RELAY_KINDS))
+    s = draw(st.sampled_from(_DS_IDS if kind == "outsider_sender" else _DS_GROUP))
+    others = [i for i in _DS_GROUP if i != s]
+    signers = [s] + draw(st.permutations(others))[:rnd - 1]
+    return (draw(st.sampled_from(_DS_IDS)), kind, s, draw(st.sampled_from((0, 1))),
+            signers)
+
+
+def _materialize(relay, rnd, ledger):
+    """The inbox entry a _ds_relay description stands for; valid links are
+    minted in ledger."""
+    envelope, kind, s, v, signers = relay
+    if kind == "bool_value":
+        v = bool(v)
+    if kind == "bad_value":
+        v = 2
+    if kind == "short":
+        signers = signers[:-1]
+    if kind == "long":
+        signers = signers + [next(i for i in _DS_GROUP if i not in signers)] \
+            if len(signers) < len(_DS_GROUP) else signers + [7]
+    if kind == "first_not_sender":
+        signers = [signers[-1], *signers[1:-1], signers[0]] if len(signers) > 1 \
+            else [s % len(_DS_GROUP) + 1]
+    if kind == "repeated_signer":
+        signers = signers[:-1] + [signers[0]]
+    if kind == "outsider_signer":
+        signers = signers[:-1] + [6] if len(signers) > 1 else [6]
+    chain = []
+    for j, who in enumerate(signers):
+        digest = payload_digest(("ds-link", s, v, tuple(signers[:j])))
+        token = ledger.mint(who, digest)
+        if kind == "unminted" and j == len(signers) - 1:
+            del ledger._minted[who, digest]
+        if kind == "wrong_token" and j == len(signers) - 1:
+            token = "0" * 16
+        chain.append([who, token] if kind == "bad_link" and j == 0 else (who, token))
+    chain = chain if kind == "list_chain" else tuple(chain)
+    payload = ("ds", s, rnd + 1 if kind == "wrong_round" else rnd, v, chain)
+    if kind == "four_fields":
+        payload = payload[:4]
+    elif kind == "list_payload":
+        payload = list(payload)
+    elif kind == "other_tag":
+        payload = ("dx",) + payload[1:]
+    elif kind == "not_ds":
+        payload = ("pk", 0, "val", v)
+    return envelope, payload
+
+
+@st.composite
+def _ds_case(draw):
+    t = draw(st.integers(0, 3))
+    ba = draw(st.booleans())
+    rounds = ds_ba_rounds(t) if ba else ds_broadcast_rounds(t)
+    rnd = draw(st.integers(1, rounds - 1 if ba else rounds))
+    relays = draw(st.lists(_ds_relay(rnd), max_size=12))
+    # A valid relay of each value from one drawn sender, at random places:
+    # two values meet in either order, and broken first relays meet valid
+    # later ones.
+    if relays and draw(st.booleans()):
+        envelope, _, s, v, signers = draw(st.sampled_from(relays))
+        relays.insert(draw(st.integers(0, len(relays))), (envelope, "valid", s, v, signers))
+        relays.insert(draw(st.integers(0, len(relays))), (envelope, "valid", s, 1 - v, signers))
+    relays.sort(key=lambda relay: relay[0])  # an engine inbox is in envelope order
+    states = st.dictionaries(st.sampled_from(_DS_GROUP),
+                             st.sets(st.sampled_from((0, 1)), min_size=1), max_size=4)
+    nodes = draw(st.lists(st.tuples(st.sampled_from(_DS_GROUP), states), min_size=1,
+                          max_size=3))
+    return dict(t=t, ba=ba, rnd=rnd, relays=relays, nodes=nodes,
+                sender=draw(st.sampled_from(_DS_GROUP)), shared=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_ds_case())
+def test_ds_delivery_matches_the_per_sender_reference(case):
+    t, rnd = case["t"], case["rnd"]
+    master = SignatureLedger()
+    entries = [_materialize(relay, rnd, master) for relay in case["relays"]]
+    ledger = SignatureLedger()
+    ledger._minted = dict(master._minted)
+    nodes = []
+    for me, state in case["nodes"]:
+        signer = Signer(ledger, me)
+        if case["ba"]:
+            node = DolevStrongBA(me, 0, _DS_GROUP, t, signer)
+        else:
+            node = DolevStrongBroadcast(me, case["sender"], 1, _DS_GROUP, t, signer)
+        node.extracted = {s: set(values) for s, values in state.items()}
+        node._relays = {}
+        nodes.append(node)
+    reference = SignatureLedger()
+    reference._minted = dict(ledger._minted)
+    # One Inbox handed to every node shares the index and its hits; a plain
+    # list gives each node its own.
+    inbox = Inbox(entries) if case["shared"] else list(entries)
+    for node in nodes:
+        extracted = {s: set(values) for s, values in node.extracted.items()}
+        queued, result = _reference_deliver(node, rnd, list(entries), extracted,
+                                            Signer(reference, node.me))
+        node.deliver(rnd, inbox if case["shared"] else list(entries))
+        assert node.extracted == extracted
+        assert node._relays == ({rnd + 1: queued} if queued else {})
+        assert (node._verdict if case["ba"] else node.decision) == result
+    assert ledger._minted == reference._minted
