@@ -4,7 +4,8 @@ This module turns the bound curves from :mod:`byzsim.core` into runnable
 checks. Each ``verify_*`` function executes a battery of simulations and
 returns a plain-dict report with an overall ``ok`` flag, run counts, and the
 violating trials (if any), so the CLI can print it and the test suite can
-assert on it.
+assert on it. A violation records its trial's scenario, which is a scenario
+file, so ``byzsim simulate --scenario`` runs it again.
 
 Trials are deterministic: every random choice flows from
 :func:`derive_seed` applied to the trial coordinates, never from global
@@ -90,7 +91,10 @@ CURVE_FIELDS = ("mode", "alpha", "n", "eta", "s", "sbar", "sbar_conditional_flag
 
 
 def library_names(honest_count: int, include: Sequence[str] = LIBRARY):
-    names = [x for x in include if x in LIBRARY]
+    unknown = sorted(set(include) - set(LIBRARY))
+    if unknown:
+        raise ValueError(f"unknown library adversaries {unknown}; choose from {LIBRARY}")
+    names = list(include)
     if honest_count < 2:
         names = [x for x in names if x != "split_brain"]
     return tuple(names)
@@ -263,38 +267,44 @@ class _Battery:
         self.t0 = time.perf_counter()
         self.cache = cache or RunCache()
         self.violations = []
+        self.violation_count = 0
 
-    def check(self, scenario, adv_name, extra, *, check=check_outcome, label=None):
+    def check(self, scenario, *, check=check_outcome, label=None):
         """Run, check and, on failure, record one trial."""
         outcome = self.cache.run(scenario)
         checks = check(scenario, outcome)
         if not checks["ok"]:
-            self.record(scenario, adv_name, extra, checks, label)
+            self.record(scenario, checks, label)
         return outcome, checks
 
-    def record(self, scenario, adv_name, extra, checks, label=None):
-        rec = {
+    def record(self, scenario, checks, label=None, **detail):
+        """Keep a failed trial as its scenario file and its three flags;
+        detail names a failed check that is none of the three."""
+        self.add({
             "battery": label or self.suite,
-            "mode": scenario.mode,
-            "alpha": str(scenario.alpha),
-            "n": scenario.n,
-            "adversary": adv_name,
+            "scenario": scenario.to_json(),
             "agreement": checks["agreement"],
             "validity": checks["validity"],
             "termination": checks["termination"],
-        }
-        rec.update(extra)
-        self.violations.append(rec)
+            **detail,
+        })
+
+    def add(self, violation):
+        """Count a violation; only the first 40, which the report lists,
+        are kept."""
+        self.violation_count += 1
+        if len(self.violations) < 40:
+            self.violations.append(violation)
 
     def report(self, ok=True, **extra) -> dict:
         rep = {
             "suite": self.suite,
-            "ok": ok and not self.violations,
+            "ok": ok and not self.violation_count,
             "trials": self.cache.misses + self.cache.hits,
             "unique_runs": self.cache.misses,
             "memo_hits": self.cache.hits,
-            "violation_count": len(self.violations),
-            "violations": self.violations[:40],
+            "violation_count": self.violation_count,
+            "violations": self.violations,
             "elapsed_s": round(time.perf_counter() - self.t0, 3),
         }
         rep.update(extra)
@@ -314,32 +324,12 @@ def _grid(grid=None):
     return cells
 
 
-def verify_consistency(*, seeds: int = 100, grid=None, seed: int = 0, cache=None) -> dict:
-    """Perfect predictions must tolerate the consistency bound's fault count.
-
-    Every cell of the (mode, alpha, n) grid runs the whole adversary library
-    against every input pattern for `seeds` seeded trials, with the faulty
-    placement rotating per trial.
-    """
-    tally, cells = _Battery("consistency", cache), _grid(grid)
-    for mode, alpha, n in cells:
-        f = consistency_bound(mode, alpha, n)
-        for adv_name in library_names(n - f):
-            for pattern in INPUT_PATTERNS:
-                for k in range(seeds):
-                    sc = _trial(
-                        ("consistency", seed, mode, alpha, n, adv_name, pattern, k),
-                        f, adv_name, pattern,
-                        lambda config, rng: frozenset(config.honest),
-                        unique=pattern == "random")
-                    tally.check(sc, adv_name, {"f": f, "pattern": pattern, "trial": k})
-    return tally.report(cells=len(cells))
-
-
 ROBUSTNESS_PREDICTIONS = ("faulty", "empty", "everyone", "random")
 
 
-def _robustness_prediction(kind: str, config: Configuration, rng: random.Random):
+def _prediction(kind: str, config: Configuration, rng: random.Random) -> frozenset:
+    if kind == "perfect":
+        return frozenset(config.honest)
     if kind == "faulty":
         return frozenset(config.faulty)
     if kind == "empty":
@@ -352,27 +342,41 @@ def _robustness_prediction(kind: str, config: Configuration, rng: random.Random)
     raise ValueError(f"unknown prediction kind {kind!r}")
 
 
+def _bound_battery(suite, bound, kinds, *, seeds, grid, seed, cache) -> dict:
+    """Every cell of the (mode, alpha, n) grid at f = bound(mode, alpha, n):
+    the whole adversary library against every input pattern for `seeds`
+    seeded trials, the prediction kind cycling through kinds per trial."""
+    tally, cells = _Battery(suite, cache), _grid(grid)
+    for mode, alpha, n in cells:
+        f = bound(mode, alpha, n)
+        for adv_name in library_names(n - f):
+            for pattern in INPUT_PATTERNS:
+                for k in range(seeds):
+                    kind = kinds[k % len(kinds)]
+                    tally.check(_trial((suite, seed, mode, alpha, n, adv_name, pattern, k),
+                                       f, adv_name, pattern,
+                                       functools.partial(_prediction, kind),
+                                       unique=pattern == "random" or kind == "random"))
+    return tally.report(cells=len(cells))
+
+
+def verify_consistency(*, seeds: int = 100, grid=None, seed: int = 0, cache=None) -> dict:
+    """Perfect predictions must tolerate the consistency bound's fault count.
+
+    The faulty placement rotates per trial on random inputs.
+    """
+    return _bound_battery("consistency", consistency_bound, ("perfect",), seeds=seeds,
+                          grid=grid, seed=seed, cache=cache)
+
+
 def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None) -> dict:
     """Arbitrarily wrong predictions must tolerate the robustness bound.
 
     Same trial matrix as verify_consistency; the prediction kind cycles
     through faulty-set / empty / everyone / seeded-random per trial.
     """
-    tally, cells = _Battery("robustness", cache), _grid(grid)
-    for mode, alpha, n in cells:
-        f = robustness_bound(mode, alpha, n)
-        for adv_name in library_names(n - f):
-            for pattern in INPUT_PATTERNS:
-                for k in range(seeds):
-                    kind = ROBUSTNESS_PREDICTIONS[k % len(ROBUSTNESS_PREDICTIONS)]
-                    sc = _trial(
-                        ("robustness", seed, mode, alpha, n, adv_name, pattern, k),
-                        f, adv_name, pattern,
-                        functools.partial(_robustness_prediction, kind),
-                        unique=pattern == "random" or kind == "random")
-                    tally.check(sc, adv_name, {"f": f, "pattern": pattern,
-                                               "prediction": kind, "trial": k})
-    return tally.report(cells=len(cells))
+    return _bound_battery("robustness", robustness_bound, ROBUSTNESS_PREDICTIONS,
+                          seeds=seeds, grid=grid, seed=seed, cache=cache)
 
 
 def empirical_resilience(mode, alpha, n, eta, *, split: str = ETA_SPLITS[0],
@@ -500,8 +504,7 @@ def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
                             f, adv_name, pattern,
                             lambda config, rng: build_eta_prediction(config, eta, split))
                 assert compute_error(sc.config, sc.prediction).total == eta
-                tally.check(sc, adv_name, {"f": f, "eta": eta, "split": split,
-                                           "pattern": pattern, "trial": k})
+                tally.check(sc)
         rows = sweep(mode, alpha, n, trials=sweep_trials, seed=seed,
                      scan_margin=scan_margin, cache=tally.cache)
         sweeps[f"{mode}:{alpha}:{n}"] = rows
@@ -640,24 +643,19 @@ def _local_prediction(kind: str, config: Configuration, rng: random.Random) -> d
     # Vectors are total over 1..n: the error measure only reads honest rows,
     # but a replaying persona reads its own row, so a partial vector would
     # hand the adversary a different view than the matching global
-    # prediction does.
+    # prediction does. A constant vector holds its kind's global prediction;
+    # "adversarial", the faulty set, keeps the name the trial seeds hash.
     everyone = list(range(1, config.n + 1))
-    honest = frozenset(config.honest)
-    if kind == "perfect":
-        return {i: honest for i in everyone}
-    if kind == "adversarial":
-        return {i: frozenset(config.faulty) for i in everyone}
-    if kind == "empty":
-        return {i: frozenset() for i in everyone}
-    if kind == "noisy":
-        preds = {}
-        for i in everyone:
-            p = set(honest)
-            for j in rng.sample(everyone, 2):
-                p.symmetric_difference_update({j})
-            preds[i] = frozenset(p)
-        return preds
-    raise ValueError(f"unknown local prediction kind {kind!r}")
+    if kind != "noisy":
+        return dict.fromkeys(everyone, _prediction(
+            "faulty" if kind == "adversarial" else kind, config, rng))
+    preds = {}
+    for i in everyone:
+        p = set(config.honest)
+        for j in rng.sample(everyone, 2):
+            p.symmetric_difference_update({j})
+        preds[i] = frozenset(p)
+    return preds
 
 
 def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
@@ -695,20 +693,18 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
                     if not check_outcome(sc, tally.cache.run(sc))["ok"]:
                         divergent_failures += 1
                     continue
-                extra = {"f": f, "pattern": pattern, "prediction": kind, "trial": k}
-                outcome, checks = tally.check(sc, adv_name, extra)
+                outcome, checks = tally.check(sc)
                 twin = tally.cache.run(dataclasses.replace(
                     sc, prediction=next(iter(sc.prediction.values()))))
                 if (outcome.decisions != twin.decisions
                         or outcome.decided_round != twin.decided_round):
-                    tally.record(sc, adv_name, {
-                        **extra, "check": "constant-vs-global",
-                        "local_round": outcome.decided_round,
-                        "global_round": twin.decided_round}, checks)
+                    tally.record(sc, checks, check="constant-vs-global",
+                                 local_round=outcome.decided_round,
+                                 global_round=twin.decided_round)
     t52 = run_impossibility_suite("T5.2", Fraction(1, 2), 8)
     if not t52["demonstrated"]:
-        tally.violations.append({"battery": "local", "check": "t52-demonstration",
-                                 "detail": "no failing configuration found"})
+        tally.add({"battery": "local", "check": "t52-demonstration",
+                   "detail": "no failing configuration found"})
     return tally.report(divergent_runs=divergent_runs,
                         divergent_failures=divergent_failures,
                         t52_demonstrated=t52["demonstrated"])
@@ -754,8 +750,7 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                                              adv_name, k)
                     sc = _scenario("phase_king", Fraction(2, 3), config, None, adv_name,
                                    trial_seed, t=t)
-                    tally.check(sc, adv_name, {"t": t, "inputs": inputs, "trial": k},
-                                label="phase_king")
+                    tally.check(sc, label="phase_king")
 
     # Signed broadcast from node 1: an honest sender must convey its value;
     # an equivocating (split-brain) sender must still leave the honest nodes
@@ -782,10 +777,7 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                                              value, adv_name, k)
                     sc = _scenario("dolev_strong_broadcast", Fraction(3, 4), config, None,
                                    adv_name, trial_seed, t=t, sender=1)
-                    tally.check(sc, adv_name,
-                                {"t": t, "sender_faulty": 1 in faulty, "value": value,
-                                 "trial": k},
-                                check=_broadcast_checks, label="dolev_strong_broadcast")
+                    tally.check(sc, check=_broadcast_checks, label="dolev_strong_broadcast")
 
     # Multi-sender agreement built on the broadcast, small confidence pass.
     m, t = 7, 2
@@ -800,8 +792,7 @@ def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
                                        make_inputs(honest, pattern, rng))
                 sc = _scenario("dolev_strong_ba", Fraction(3, 4), config, None, adv_name,
                                trial_seed, t=t)
-                tally.check(sc, adv_name, {"t": t, "pattern": pattern, "trial": k},
-                            label="dolev_strong_ba")
+                tally.check(sc, label="dolev_strong_ba")
 
     # The engine's ledger audit raises ForgeryError mid-battery if it ever
     # fires, so reaching this line proves it stayed silent for every run.

@@ -154,7 +154,8 @@ class _ChainIndex:
     ``relays`` maps each sender, in ascending order, to the values its
     relays offer, each with the inbox position of its first relay. Relays
     with a malformed shape, a sender outside the group, a value other than
-    0/1 or another round's number never qualify and are left out.
+    the int 0 or 1 (``True`` would share the link digests of 1) or another
+    round's number never qualify and are left out.
 
     A sender's hits, the first valid relay of each of its values, are found
     on first demand and then serve every node that holds the same inbox:
@@ -170,7 +171,7 @@ class _ChainIndex:
         relays = {}  # sender -> {value: position of its first relay}
         for pos, (_, p) in enumerate(inbox):
             if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
-                    and p[1] in group and (p[3] == 0 or p[3] == 1)):
+                    and p[1] in group and type(p[3]) is int and (p[3] == 0 or p[3] == 1)):
                 by_value = relays.get(p[1])
                 if by_value is None:
                     relays[p[1]] = {p[3]: pos}
@@ -189,7 +190,8 @@ class _ChainIndex:
             for pos in range(first, len(inbox)):
                 p = inbox[pos][1]
                 if not (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds"
-                        and p[1] == sender and p[2] == rnd and p[3] == v):
+                        and p[1] == sender and p[2] == rnd and p[3] == v
+                        and type(p[3]) is int):
                     continue
                 signers = self._signers(p, verify)
                 if signers is not None:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import byzsim.cli as cli
 import byzsim.harness as harness
 from byzsim.adversary import (build_impossibility_scenarios, persona_network, replay_honest,
                               silent, split_brain)
@@ -81,7 +82,17 @@ def test_library_names_drops_split_brain_without_two_honest():
     assert library_names(5) == LIBRARY
     assert "split_brain" not in library_names(1)
     assert library_names(1, include=("noise", "split_brain")) == ("noise",)
-    assert library_names(9, include=("crash", "bogus")) == ("crash",)
+    with pytest.raises(ValueError, match="bogus"):
+        library_names(9, include=("crash", "bogus"))
+
+
+def test_sweep_rejects_unknown_adversaries_before_any_trial(monkeypatch):
+    def run_none(scenario, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_simulation", run_none)
+    with pytest.raises(ValueError, match="crahs"):
+        sweep("nonauth", Fraction(4, 5), 10, etas=[0], trials=2, adversaries=("crahs",))
 
 
 def test_adversary_set_hash_ignores_order():
@@ -254,6 +265,29 @@ def test_verify_local_small_cell():
     rep = verify_local(seeds=2, grid=(("nonauth", Fraction(3, 5), 12),))
     assert rep["ok"]
     assert rep["t52_demonstrated"]
+
+
+def test_listed_violations_replay_through_simulate(monkeypatch, tmp_path):
+    # Four faults past the robustness bound break real runs. Each listed
+    # violation's scenario, saved as a file, fails the same way under
+    # `byzsim simulate`.
+    bound = harness.robustness_bound
+    monkeypatch.setattr(harness, "robustness_bound",
+                        lambda mode, alpha, n: bound(mode, alpha, n) + 4)
+    rep = verify_robustness(seeds=4, grid=[("nonauth", Fraction(4, 5), 10),
+                                           ("auth", Fraction(4, 5), 10)])
+    assert rep["violation_count"] > len(rep["violations"]) == 40
+    flags = ("agreement", "validity", "termination")
+    for k, rec in enumerate(rep["violations"]):
+        assert set(rec) == {"battery", "scenario", *flags}
+        scenario = Scenario.from_json(rec["scenario"])
+        assert len(scenario.config.faulty) == bound(scenario.mode, scenario.alpha, 10) + 4
+        scenario_file, out = tmp_path / f"{k}.json", tmp_path / f"{k}.out.json"
+        scenario_file.write_text(json.dumps(rec["scenario"]))
+        assert cli.main(["simulate", "--scenario", str(scenario_file),
+                         "--out", str(out)]) == 0
+        outcome = json.loads(out.read_text())["outcome"]
+        assert {f: outcome[f] for f in flags} == {f: rec[f] for f in flags}
 
 
 def test_verify_protocols_small():
@@ -439,15 +473,15 @@ _DIGESTS = {
     "sweep_auth":
         "5454ec43535a87385d5851089c4ca2558a99e832a16ca3944bb2ac50020d2464",
     "violations_consistency":
-        "98d6aab5f2dcd2dcd7d2d01bed15b322ccd39424e186db6763fbd7fba885b303",
+        "6832138b5e8d516a828e9da61f3339f19666cfa7abd266f84abb8e52b4a8cb69",
     "violations_robustness":
-        "f6ab1a453c15c97148a688a74dc66c7076fb7b85c74af2efee86f062f2d96023",
+        "1ffc9480edd76ec32189f6fe76fd69ee3d0c0ce0e123f368433d04a7f1aabf84",
     "violations_smoothness":
-        "1e3586dab2e402f032653a4768e81424bebfbbe75bcc92d13c7eb3e060263a08",
+        "43a70e8672789e643db07bdce44460b70f2bc641b8fe17e2aac6ab5b8414791a",
     "violations_local":
-        "1a365b66e133ef3fbf4621543cee4b97fc1d9183bd97a4097415c5e5ecaa26d4",
+        "23579d1e94588d99a431de49023dbeb784bfd0f4c16ea3e90b00fc644a3ae4df",
     "violations_protocols":
-        "3476b11a1604f46c043e5cafdb008ad34af7d162548a0991eaaeb23475d4ff73",
+        "920b724a32469cf3996b606f5a938c664c752f72c3d881d7e0337ea509a772b5",
 }
 
 
@@ -585,3 +619,13 @@ def _digest(result) -> str:
 def test_small_slices_are_byte_stable():
     digests = {name: _digest(run()) for name, run in _SLICES.items()}
     assert digests == _DIGESTS
+
+
+if __name__ == "__main__":
+    # Print every slice's current digest as a _DIGESTS literal, for retaking
+    # the digests after a deliberate byte change:
+    #   PYTHONPATH=src python tests/test_harness.py
+    print("_DIGESTS = {")
+    for name, run in _SLICES.items():
+        print(f'    "{name}":\n        "{_digest(run())}",')
+    print("}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import byzsim.protocols as protocols
 from byzsim.adversary import (
     crash_after,
     random_noise,
@@ -27,6 +28,7 @@ from byzsim.protocols import (
 from byzsim.simnet import (
     AdversaryStrategy,
     Inbox,
+    Memo,
     Scenario,
     SignatureLedger,
     Signer,
@@ -259,7 +261,7 @@ class _ReferenceIndex:
         self.relays = {}  # sender -> {value: [(position, payload), ...]}
         for pos, (_, p) in enumerate(inbox):
             if (isinstance(p, tuple) and len(p) == 5 and p[0] == "ds" and p[2] == rnd
-                    and p[1] in group and (p[3] == 0 or p[3] == 1)):
+                    and p[1] in group and type(p[3]) is int and (p[3] == 0 or p[3] == 1)):
                 self.relays.setdefault(p[1], {}).setdefault(p[3], []).append((pos, p))
 
     def accepted(self, sender, extracted, verify):
@@ -449,3 +451,22 @@ def test_ds_delivery_matches_the_per_sender_reference(case):
         assert node._relays == ({rnd + 1: queued} if queued else {})
         assert (node._verdict if case["ba"] else node.decision) == result
     assert ledger._minted == reference._minted
+
+
+def test_a_true_relay_value_is_extracted_under_neither_memo_order(monkeypatch):
+    # True equals 1 as a dict key, so a relay of value True would have its
+    # links checked against whichever digest of (1, 1, ()) or (1, True, ())
+    # the link memo met first. It is no relay value, whatever the memo holds,
+    # also after an unsigned relay of 1 that makes the index look for 1.
+    ledger = SignatureLedger()
+    token = ledger.mint(1, payload_digest(("ds-link", 1, 1, ())))
+    relay = (1, ("ds", 1, 1, True, ((1, token),)))
+    unsigned = (1, ("ds", 1, 1, 1, ((1, "0" * 16),)))
+    for first in (1, True):
+        for inbox in ([relay], [unsigned, relay]):
+            links = Memo(lambda key: payload_digest(("ds-link", *key)))
+            assert links[1, first, ()] == payload_digest(("ds-link", 1, first, ()))
+            monkeypatch.setattr(protocols, "_LINK_DIGESTS", links)
+            node = DolevStrongBroadcast(2, 1, 0, (1, 2, 3), 1, Signer(ledger, 2))
+            node.deliver(1, inbox)
+            assert node.extracted == {} and node._relays == {}
