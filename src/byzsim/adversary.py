@@ -327,8 +327,10 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         rnd = field_int(p["round"], "crash round")
         if rnd < 0:
             raise ValueError("crash round must be >= 0")
+        inputs = p.get("inputs")  # only a missing or null inputs means none
         inputs = {field_key(k, n, "crash inputs key"): field_bit(v, "persona input")
-                  for k, v in field_items(p.get("inputs") or {}, "crash inputs")}
+                  for k, v in field_items({} if inputs is None else inputs,
+                                          "crash inputs")}
         stray = sorted(set(inputs) - faulty)
         if stray:
             raise ValueError(f"crash inputs name non-faulty node {stray[0]}")
@@ -372,6 +374,8 @@ def build_strategy(spec: AdversarySpec, scenario: Scenario) -> AdversaryStrategy
         cutoff = p.get("cutoff")
         if cutoff is not None:
             cutoff = field_int(cutoff, "persona cutoff")
+            if cutoff < 0:
+                raise ValueError("persona cutoff must be >= 0")
         return _Personas(groups, overrides, emission, cutoff, scenario)
 
     raise ValueError(f"unknown adversary strategy {name!r}")

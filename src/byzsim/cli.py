@@ -36,10 +36,10 @@ from typing import Iterator, Optional, Sequence
 from .core import MODES, as_alpha, check_alpha
 from .harness import (
     ETA_SPLITS,
-    LIBRARY,
     SWEEP_TRIALS,
     VERIFY_SUITES,
     curves_to_csv,
+    library_names,
     sweep,
     sweep_to_csv,
 )
@@ -223,7 +223,7 @@ def _parse_alpha(text: str, mode: str | None = None):
         if mode is not None:
             check_alpha(mode, value)
         return value
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"cannot accept alpha {text!r}: {exc}") from None
 
 
@@ -253,11 +253,10 @@ def _parse_adversaries(text: Optional[str]):
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise UsageError(f"--adversaries {text!r} names no adversary")
-    unknown = [name for name in names if name not in LIBRARY]
-    if unknown:
-        raise UsageError(
-            f"unknown adversaries {unknown}; library: {', '.join(LIBRARY)}"
-        )
+    try:
+        library_names(len(names), names)  # raises on a name outside the library
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return names
 
 
@@ -343,14 +342,11 @@ def cmd_verify(args) -> int:
         if any(v is None for v in cell_flags):
             raise UsageError("--mode, --alpha and --n must be given together")
         cell = ((args.mode, _parse_alpha(args.alpha, args.mode), args.n),)
-        kwargs["flagships" if args.suite == "smoothness" else "grid"] = cell
+        kwargs["grid"] = cell
     if args.trials is not None:
-        if args.suite == "protocols":
-            kwargs["pk_seeds"] = kwargs["ds_seeds"] = args.trials
-        elif args.suite == "impossibility":
+        if args.suite == "impossibility":
             raise UsageError("--trials does not apply to the impossibility suite")
-        else:
-            kwargs["seeds"] = args.trials
+        kwargs["seeds"] = args.trials
     saving = _atomic_output(args.out) if args.out is not None else contextlib.nullcontext()
     with saving as save:
         report = battery(**kwargs)

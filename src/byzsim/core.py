@@ -36,12 +36,16 @@ MODES = ("nonauth", "auth")
 def as_alpha(alpha: Union[Fraction, float, int, str]) -> Fraction:
     """Normalize a trust parameter to an exact Fraction.
 
-    Floats go through str() so that e.g. 0.8 becomes 4/5 rather than the
-    nearest binary float.
+    Floats, such as a JSON number, go through str() so that e.g. 0.8
+    becomes 4/5 rather than the nearest binary float. A boolean, or a value
+    that names no finite fraction, raises ValueError.
     """
-    if isinstance(alpha, float):
-        return Fraction(str(alpha))
-    return Fraction(alpha)
+    try:
+        if isinstance(alpha, bool):
+            raise TypeError
+        return Fraction(str(alpha) if isinstance(alpha, float) else alpha)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"alpha must be a finite fraction, got {alpha!r}") from None
 
 
 def check_mode(mode: str) -> str:

@@ -64,6 +64,8 @@ GRID_ALPHAS = {
     "auth": (Fraction(3, 5), Fraction(4, 5)),
 }
 GRID_NS = (10, 20, 30, 40)
+GRID = tuple((mode, alpha, n) for mode, alphas in GRID_ALPHAS.items()
+             for alpha in alphas for n in GRID_NS)
 
 # Sweep defaults: seeded trials per (eta, fault count) cell, and how far
 # above the theoretical value the resilience scan looks.
@@ -311,17 +313,9 @@ class _Battery:
         return rep
 
 
-def _grid(grid=None):
-    cells = []
-    if grid is not None:
-        for mode, alpha, n in grid:
-            cells.append((check_mode(mode), check_alpha(mode, alpha), int(n)))
-        return cells
-    for mode, alphas in GRID_ALPHAS.items():
-        for alpha in alphas:
-            for n in GRID_NS:
-                cells.append((mode, alpha, n))
-    return cells
+def _grid(grid) -> list:
+    """A battery's (mode, alpha, n) cells, each checked and alpha exact."""
+    return [(mode, check_alpha(mode, alpha), int(n)) for mode, alpha, n in grid]
 
 
 ROBUSTNESS_PREDICTIONS = ("faulty", "empty", "everyone", "random")
@@ -360,7 +354,7 @@ def _bound_battery(suite, bound, kinds, *, seeds, grid, seed, cache) -> dict:
     return tally.report(cells=len(cells))
 
 
-def verify_consistency(*, seeds: int = 100, grid=None, seed: int = 0, cache=None) -> dict:
+def verify_consistency(*, seeds: int = 100, grid=GRID, seed: int = 0, cache=None) -> dict:
     """Perfect predictions must tolerate the consistency bound's fault count.
 
     The faulty placement rotates per trial on random inputs.
@@ -369,7 +363,7 @@ def verify_consistency(*, seeds: int = 100, grid=None, seed: int = 0, cache=None
                           grid=grid, seed=seed, cache=cache)
 
 
-def verify_robustness(*, seeds: int = 100, grid=None, seed: int = 0, cache=None) -> dict:
+def verify_robustness(*, seeds: int = 100, grid=GRID, seed: int = 0, cache=None) -> dict:
     """Arbitrarily wrong predictions must tolerate the robustness bound.
 
     Same trial matrix as verify_consistency; the prediction kind cycles
@@ -483,7 +477,7 @@ def curves_to_csv(mode, alpha, n) -> str:
     return rows_to_csv(curve_table(mode, alpha, n), CURVE_FIELDS)
 
 
-def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
+def verify_smoothness(*, grid=FLAGSHIPS, seeds: int = 50, seed: int = 0,
                       sweep_trials: int = SWEEP_TRIALS, scan_margin: int = SCAN_MARGIN,
                       cache=None) -> dict:
     """Exact-error predictions must tolerate the smoothness curve's value.
@@ -493,8 +487,7 @@ def verify_smoothness(*, flagships=FLAGSHIPS, seeds: int = 50, seed: int = 0,
     sits pointwise at or above the theoretical one.
     """
     tally, below, sweeps = _Battery("smoothness", cache), [], {}
-    for mode, alpha, n in flagships:
-        alpha = check_alpha(mode, alpha)
+    for mode, alpha, n in _grid(grid):
         for eta in range(n + 1):
             f = theoretical_smoothness(mode, alpha, n, eta)
             for split, adv_name, k in itertools.product(
@@ -675,8 +668,7 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
     """
     tally = _Battery("local", cache)
     divergent_runs = divergent_failures = 0
-    for mode, alpha, n in grid:
-        alpha = check_alpha(mode, alpha)
+    for mode, alpha, n in _grid(grid):
         f_cons = consistency_bound(mode, alpha, n)
         f_rob = robustness_bound(mode, alpha, n)
         for k in range(seeds):
@@ -726,15 +718,18 @@ def _broadcast_checks(scenario: Scenario, outcome: Outcome) -> dict:
             "ok": consistency and validity and termination}
 
 
-def verify_protocols(*, pk_seeds: int = 50, ds_seeds: int = 20, seed: int = 0,
-                     cache=None) -> dict:
+def verify_protocols(*, seeds: int | None = None, seed: int = 0, cache=None) -> dict:
     """Primitive-level batteries for the two inner agreement protocols.
+
+    seeds is the seeded trials per Phase King and signed-broadcast case;
+    None runs 50 and 20.
 
     Every run audits the signature ledger (the engine raises on any honest
     key minted by the adversary), so a green battery certifies the
     unforgeability check never fired.
     """
     tally = _Battery("protocols", cache)
+    pk_seeds, ds_seeds = (50, 20) if seeds is None else (seeds, seeds)
 
     # Four-node king micro-battery: every honest input vector, both fault
     # placements, full adversary library.

@@ -249,6 +249,8 @@ class _SignedRelays:
             raise ValueError("budget t must be >= 0")
         self.me = me
         self.participants = tuple(sorted(set(participants)))
+        if me not in self.participants:
+            raise ValueError(f"node {me} is not among the participants")
         self.t = t
         self._group = frozenset(self.participants)
         self._signer = signer
@@ -300,6 +302,8 @@ class DolevStrongBroadcast(_SignedRelays):
 
     def __init__(self, me, sender, value, participants, t, signer):
         super().__init__(me, participants, t, signer)
+        if sender not in self.participants:
+            raise ValueError(f"sender {sender} is not among the participants")
         self.sender = sender
         self.rounds = ds_broadcast_rounds(t)
         self.decision: Optional[int] = None
@@ -333,8 +337,6 @@ class DolevStrongBA(_SignedRelays):
 
     def __init__(self, me, input_bit, participants, t, signer):
         super().__init__(me, participants, t, signer)
-        if me not in self.participants:
-            raise ValueError(f"node {me} is not among the participants")
         self.rounds = ds_ba_rounds(t)
         self._verdict: Optional[int] = None
         self.decision: Optional[int] = None

@@ -306,26 +306,23 @@ class Scenario:
             )
         n = field_int(doc["n"], "n")
         pred_j = doc.get("prediction")
-        if pred_j is None:
+        shape = None if pred_j is None else [k for k, _ in field_items(pred_j, "prediction")]
+        if shape is None:
             pred = None
-        elif "global" in pred_j:
+        elif shape == ["global"]:
             pred = field_ids(pred_j["global"], n, "prediction id")
-        elif "local" in pred_j:
+        elif shape == ["local"]:
             pred = {field_key(k, n, "local prediction key"): field_ids(v, n, "prediction id")
                     for k, v in field_items(pred_j["local"], "local prediction")}
         else:
-            raise ValueError("prediction must be null or carry 'global'/'local'")
+            raise ValueError("prediction must be null or have the one key 'global' or "
+                             f"'local', got keys {shape}")
         config = Configuration(
             n=n,
             faulty=field_ids(doc["faulty"], n, "faulty id"),
             inputs={field_key(k, n, "inputs key"): field_int(v, "input")
                     for k, v in field_items(doc["inputs"], "inputs")},
         )
-        alpha = doc["alpha"]
-        try:
-            alpha = Fraction(alpha)
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"alpha must be a finite fraction, got {alpha!r}") from None
         adv = doc.get("adversary")
         if adv is None:
             adv = {"name": "silent", "params": {}}
@@ -333,13 +330,13 @@ class Scenario:
             raise ValueError(f"adversary must be a JSON object, got {adv!r}")
         params = dict(field_items(adv.get("params", {}), "adversary params"))
         sc = Scenario(
-            alpha=alpha,
+            alpha=doc["alpha"],
             config=config,
             prediction=pred,
             adversary=AdversarySpec(adv["name"], params),
             seed=field_int(doc["seed"], "seed"),
             protocol=doc["protocol"],
-            params=doc.get("params", {}),
+            params=dict(field_items(doc.get("params", {}), "params")),
         )
         if doc["mode"] != sc.mode:
             raise ValueError(

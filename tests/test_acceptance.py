@@ -190,7 +190,7 @@ def test_criterion_6_transcript_identity():
 
 
 def test_criterion_7_protocols():
-    rep = verify_protocols(pk_seeds=50, ds_seeds=20)
+    rep = verify_protocols()
     ok = (rep["ok"] and rep["violation_count"] == 0
           and rep["ledger_fired"] is False and rep["elapsed_s"] < 300)
     _verdict(7, "inner protocols hold up and the ledger stays silent", ok,

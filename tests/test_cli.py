@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import functools
 import hashlib
 import io
@@ -9,8 +10,11 @@ import json
 import operator
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,13 @@ from byzsim.adversary import (
     split_brain,
 )
 from byzsim.core import Configuration
+from byzsim.harness import (
+    IMPOSSIBILITY_POINTS,
+    adversary_set_hash,
+    curves_to_csv,
+    library_names,
+    verify_protocols,
+)
 from byzsim.simnet import (
     SCHEMA_VERSION,
     AdversaryStrategy,
@@ -219,6 +230,26 @@ _MALFORMED = {
             {"group": "zz", "senders": None, "receivers": [1]}]}))},
     "crash_input_for_honest_id": {"adversary": {"name": "crash_after", "params": {
         "round": 1, "inputs": {"3": 1}}}},
+    # Only a missing or null value means "none", and a cutoff is a round.
+    **{f"{name}_crash_inputs": {"adversary": {"name": "crash_after", "params": {
+        "round": 1, "inputs": inputs}}}
+       for name, inputs in (("zero", 0), ("empty_list", []))},
+    "negative_cutoff": {"adversary": _persona_with_cutoff(-3)},
+    # alpha is a fraction, a decimal or a number, and true is none of them.
+    "true_alpha": {"alpha": True},
+    # A prediction is null, {"global": ids} or {"local": {...}}.
+    "global_and_local_prediction": {"prediction": {
+        "global": [1, 2, 3], "local": {str(i): [1, 2, 3] for i in range(1, 6)}}},
+    "extra_prediction_key": {"prediction": {"global": [1, 2, 3], "bogus": 1}},
+    # params is a JSON object.
+    **{f"{name}_params": {"protocol": "phase_king", "prediction": None, "params": params}
+       for name, params in (("pair_list", [["t", 1]]), ("empty_list", []))},
+    # Every node and the sender of a signed broadcast are participants.
+    **{f"{name}_outside_broadcast_participants": {
+        "mode": "auth", "protocol": "dolev_strong_broadcast", "prediction": None,
+        "params": {"participants": participants, "sender": sender}}
+       for name, participants, sender in (("node", [1, 2, 3], 1),
+                                          ("sender", [1, 2, 3, 4, 5], 6))},
 }
 
 
@@ -239,6 +270,9 @@ def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys
      "feed override group 'w' has no instance of node 1"),
     ("emission_unknown_group", "emission rule names unknown group 'zz'"),
     ("crash_input_for_honest_id", "crash inputs name non-faulty node 3"),
+    ("negative_cutoff", "persona cutoff must be >= 0"),
+    ("node_outside_broadcast_participants", "node 4 is not among the participants"),
+    ("sender_outside_broadcast_participants", "sender 6 is not among the participants"),
 ])
 def test_persona_rule_errors_say_what_is_wrong(scenario_file, capsys, name, message):
     doc = json.loads(scenario_file.read_text())
@@ -247,6 +281,18 @@ def test_persona_rule_errors_say_what_is_wrong(scenario_file, capsys, name, mess
     assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
     err = capsys.readouterr().err
     assert err == f"byzsim: error: invalid scenario: ValueError: {message}\n"
+
+
+def test_simulate_reads_a_number_alpha_through_its_decimal_text(scenario_file, capsys):
+    outputs = []
+    for alpha in ("3/5", 0.6):
+        doc = json.loads(scenario_file.read_text())
+        doc["alpha"] = alpha
+        scenario_file.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["scenario"]["alpha"] == "3/5"
+    assert outputs[1] == outputs[0]
 
 
 def test_simulate_echoes_whole_float_ids_as_integers(scenario_file, capsys):
@@ -554,6 +600,19 @@ def test_sweep_rejects_unknown_adversary(capsys):
                    "--eta-range", "0:1", "--adversaries", "gremlin",
                    "--seed", "0"])
     assert rc == 2
+    with pytest.raises(ValueError) as exc:  # the library's own check and text
+        library_names(2, ("gremlin",))
+    assert capsys.readouterr().err == f"byzsim: error: {exc.value}\n"
+
+
+def test_sweep_runs_the_chosen_adversaries(capsys):
+    rc = cli.main(["sweep", "--mode", "nonauth", "--alpha", "3/5", "--n", "6",
+                   "--eta-range", "0:1", "--trials", "2", "--adversaries", "silent",
+                   "--seed", "0"])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["eta"] for r in rows] == ["0", "1"]
+    assert {r["adversary_set_hash"] for r in rows} == {adversary_set_hash(["silent"])}
 
 
 @pytest.mark.parametrize("names", ["", ",", " , "], ids=["empty", "comma", "blank"])
@@ -611,6 +670,41 @@ def test_verify_rejects_cell_flags_for_impossibility(capsys):
     rc = cli.main(["verify", "--suite", "impossibility", "--seed", "0",
                    "--mode", "nonauth", "--alpha", "3/5", "--n", "10"])
     assert rc == 2
+
+
+def test_verify_trials_set_the_protocol_seeds(capsys):
+    rc = cli.main(["verify", "--suite", "protocols", "--seed", "0", "--trials", "1"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    expected = verify_protocols(seeds=1)
+    assert doc["ok"] is True
+    assert (doc["trials"], doc["unique_runs"]) == (expected["trials"], expected["unique_runs"])
+
+
+def test_verify_rejects_trials_for_impossibility(capsys):
+    rc = cli.main(["verify", "--suite", "impossibility", "--seed", "0", "--trials", "1"])
+    assert rc == 2
+    assert "--trials does not apply" in capsys.readouterr().err
+
+
+def test_verify_impossibility_demonstrates_every_family(capsys):
+    assert cli.main(["verify", "--suite", "impossibility", "--seed", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert [f["theorem"] for f in doc["families"]] == [p[0] for p in IMPOSSIBILITY_POINTS]
+    assert all(f["demonstrated"] for f in doc["families"])
+    assert doc["transcripts"]["ok"] is True
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "byzsim", "curves", "--mode", "auth", "--alpha", "4/5",
+         "--n", "30"], capture_output=True, text=True, cwd=tmp_path, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == curves_to_csv("auth", Fraction(4, 5), 30)
 
 
 def test_internal_error_exits_one(monkeypatch, capsys):
@@ -761,7 +855,7 @@ def _fuzz_bases():
         doc("auth_pred_ba", replay_honest(1, [1, 5]),
             {1: P, 2: P, 3: P, 4: frozenset()}),
         doc("dolev_strong_broadcast",
-            persona_network({"x": {5: (1, [5, 6]), 6: (0, None)}},
+            persona_network({"x": {5: (1, [5, 6])}},
                             feed_overrides=[("x", [5], "x")],
                             emission=[("x", None, [1, 2, 3])], cutoff=3),
             participants=[1, 2, 3, 4, 5], t=1, sender=5),

@@ -214,6 +214,12 @@ def test_validation_errors():
     assert as_alpha(0.8) == Fraction(4, 5)
 
 
+@pytest.mark.parametrize("alpha", [True, False, None, [1], "1/0", "inf", float("nan")])
+def test_as_alpha_rejects_what_names_no_finite_fraction(alpha):
+    with pytest.raises(ValueError, match="alpha must be a finite fraction"):
+        as_alpha(alpha)
+
+
 # ---------------------------------------------------------------------------
 # Error measures
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def test_verify_robustness_small_cell():
 
 
 def test_verify_smoothness_small_flagship():
-    rep = verify_smoothness(flagships=(("nonauth", Fraction(3, 5), 10),),
+    rep = verify_smoothness(grid=(("nonauth", Fraction(3, 5), 10),),
                             seeds=2, sweep_trials=2, scan_margin=1)
     assert rep["ok"] and rep["violation_count"] == 0
     assert rep["pointwise_below"] == []
@@ -291,7 +291,7 @@ def test_listed_violations_replay_through_simulate(monkeypatch, tmp_path):
 
 
 def test_verify_protocols_small():
-    rep = verify_protocols(pk_seeds=2, ds_seeds=2)
+    rep = verify_protocols(seeds=2)
     assert rep["ok"] and rep["violation_count"] == 0
     assert rep["ledger_fired"] is False
 
@@ -420,7 +420,7 @@ class _Recording(_HungCache):
 
 def _protocol_scenarios():
     cache = _Recording()
-    verify_protocols(pk_seeds=1, ds_seeds=1, cache=cache)
+    verify_protocols(seeds=1, cache=cache)
     return cache.scenarios
 
 
@@ -589,10 +589,10 @@ _SLICES = {
     "eta_predictions": _eta_predictions,
     "consistency": lambda: verify_consistency(seeds=3, grid=_SMALL_GRID),
     "robustness": lambda: verify_robustness(seeds=4, grid=_SMALL_GRID),
-    "smoothness": lambda: verify_smoothness(flagships=_N10_FLAGSHIPS, seeds=2,
+    "smoothness": lambda: verify_smoothness(grid=_N10_FLAGSHIPS, seeds=2,
                                             sweep_trials=2, scan_margin=1),
     "local": lambda: verify_local(seeds=16),
-    "protocols": lambda: verify_protocols(pk_seeds=2, ds_seeds=2),
+    "protocols": lambda: verify_protocols(seeds=2),
     "sweep_nonauth": lambda: sweep_to_csv(sweep("nonauth", Fraction(3, 5), 10,
                                                 trials=3)),
     "sweep_auth": lambda: sweep_to_csv(sweep("auth", Fraction(4, 5), 10, trials=3)),
@@ -601,11 +601,10 @@ _SLICES = {
     "violations_robustness": lambda: verify_robustness(
         seeds=1, grid=_TWO_CELLS, cache=_HungCache()),
     "violations_smoothness": lambda: verify_smoothness(
-        flagships=_N10_FLAGSHIPS[1:], seeds=1, sweep_trials=1, scan_margin=1,
+        grid=_N10_FLAGSHIPS[1:], seeds=1, sweep_trials=1, scan_margin=1,
         cache=_HungCache()),
     "violations_local": lambda: verify_local(seeds=1, cache=_HungCache()),
-    "violations_protocols": lambda: verify_protocols(pk_seeds=1, ds_seeds=1,
-                                                     cache=_HungCache()),
+    "violations_protocols": lambda: verify_protocols(seeds=1, cache=_HungCache()),
 }
 
 
