@@ -37,13 +37,21 @@ def as_alpha(alpha: Union[Fraction, float, int, str]) -> Fraction:
     """Normalize a trust parameter to an exact Fraction.
 
     Floats, such as a JSON number, go through str() so that e.g. 0.8
-    becomes 4/5 rather than the nearest binary float. A boolean, or a value
-    that names no finite fraction, raises ValueError.
+    becomes 4/5 rather than the nearest binary float. A boolean, a value
+    that names no finite fraction, or a decimal whose exponent is larger in
+    magnitude than its text is long raises ValueError.
     """
     try:
         if isinstance(alpha, bool):
             raise TypeError
-        return Fraction(str(alpha) if isinstance(alpha, float) else alpha)
+        text = str(alpha) if isinstance(alpha, float) else alpha
+        if isinstance(text, str):
+            # No alpha in [1/3, 1] needs such an exponent, and Fraction would
+            # build a 10**exponent integer before check_alpha could reject it.
+            _, e, exponent = text.lower().rpartition("e")
+            if e and abs(int(exponent)) > len(text):
+                raise ValueError
+        return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"alpha must be a finite fraction, got {alpha!r}") from None
 

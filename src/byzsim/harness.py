@@ -420,7 +420,7 @@ def sweep(mode, alpha, n, *, etas=None, split: str = ETA_SPLITS[0],
     cache = cache or RunCache()
     alpha = check_alpha(check_mode(mode), alpha)
     etas = range(n + 1) if etas is None else etas
-    names = adversaries or LIBRARY
+    names = tuple(dict.fromkeys(adversaries or LIBRARY))  # a repeated name counts once
     set_hash = adversary_set_hash(names)
     rows = []
     for eta in etas:

@@ -1,22 +1,23 @@
-"""Prediction-augmented agreement wrappers.
+"""The prediction-augmented agreement wrapper.
 
-Both wrappers share one skeleton. From the prediction P each node derives an
-active set L: start from P and pad with ids 1, 2, ... (skipping ids already
-present) until |L| reaches the mode's threshold, compared exactly as a
-rational:
+One class, PredBA, serves both models; being handed a signer is what makes
+a run authenticated. From the prediction P each node derives an active set
+L: start from P and pad with ids 1, 2, ... (skipping ids already present)
+until |L| reaches the mode's threshold, compared exactly as a rational:
 
     nonauth   max(3/2 * (1-alpha) * n - 1, 1)
     auth      2 * (1-alpha) * n - 1
 
 The fault budget is t = ceil(|L|/3) (nonauth) or ceil(|L|/2) (auth). Nodes
 inside L run the inner agreement protocol among themselves with budget t-1,
-then broadcast their decision to all n nodes in one extra round. Nodes
-outside L stay silent, wait out the inner schedule, and adopt any value
-reported by at least |L| - t + 1 members of L (a strict majority of L, so at
-most one value qualifies); failing that they fall back to their own input.
-Everyone decides in the same round: 3t + 1 in nonauth mode, t + 2 in auth
-mode. The adopt counts depend only on the inbox and L's members, so nodes
-handed the same inbox count it once (see simnet.once_per_inbox).
+Phase King without a signer and Dolev-Strong agreement with one, then
+broadcast their decision to all n nodes in one extra round. Nodes outside L
+stay silent, wait out the inner schedule, and adopt any value reported by at
+least |L| - t + 1 members of L (a strict majority of L, so at most one value
+qualifies); failing that they fall back to their own input. Everyone decides
+in the same round: 3t + 1 in nonauth mode, t + 2 in auth mode. The adopt
+counts depend only on the inbox and L's members, so nodes handed the same
+inbox count it once (see simnet.once_per_inbox).
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
         raise ValueError("prediction contains ids outside 1..n")
     if mode == "nonauth":
         # at least one member, so the passives have someone to adopt from
-        threshold = max(Fraction(3, 2) * (1 - a) * n - 1, 1)
+        threshold, divisor = max(Fraction(3, 2) * (1 - a) * n - 1, 1), 3
     else:
-        threshold = 2 * (1 - a) * n - 1
+        threshold, divisor = 2 * (1 - a) * n - 1, 2
     members = set(pred)
     y = 1
     while len(members) < threshold:
@@ -68,30 +69,37 @@ def _active_set(pred: frozenset, alpha, n: int, mode: str) -> ActiveSet:
         y += 1
         if y > n + 1:
             raise AssertionError("active-set padding ran past n")
-    if mode == "nonauth":
-        t = math.ceil(Fraction(len(members), 3))
-    else:
-        t = math.ceil(Fraction(len(members), 2))
+    t = math.ceil(Fraction(len(members), divisor))
     return ActiveSet(members=tuple(sorted(members)), fault_param=t)
 
 
-class _WrapperBase:
-    """Common outer machinery: inner rounds, then one adopt round."""
+class PredBA:
+    """Prediction-augmented agreement: inner rounds inside L, then one adopt
+    round. Without a signer L runs Phase King; with one (the authenticated
+    model) it runs Dolev-Strong agreement."""
 
-    def __init__(self, me: int, input_bit: int, n: int, active_set: ActiveSet):
+    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int, signer=None):
+        aset = build_active_set(prediction, alpha, n, "nonauth" if signer is None else "auth")
         self.input = int(input_bit)
         self.n = n
-        self.aset = active_set
-        self.members = frozenset(active_set.members)
+        self.aset = aset
+        self.members = frozenset(aset.members)
         self.active = me in self.members
         self.decision: Optional[int] = None
-        self.inner = None  # set by subclass for active nodes
-        self.inner_rounds = 0  # set by subclass
         size = len(self.members)
-        t = active_set.fault_param
+        t = aset.fault_param
         self.adopt_threshold = size - t + 1
         # at most one value can clear the threshold
         assert size == 0 or 2 * self.adopt_threshold > size
+        self.inner = None
+        if signer is None:
+            self.inner_rounds = phase_king_rounds(t - 1) if size else 0
+            if self.active:
+                self.inner = PhaseKing(me, input_bit, aset.members, t - 1)
+        else:
+            self.inner_rounds = ds_ba_rounds(t - 1) if size else 0
+            if self.active:
+                self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer)
 
     @property
     def adopt_round(self) -> int:
@@ -138,27 +146,3 @@ def _adopt_counts(inbox, members: frozenset) -> list:
         except (TypeError, ValueError, IndexError):
             continue
     return counts
-
-
-class PredBA(_WrapperBase):
-    """Prediction-augmented agreement without signatures (phase-king inner)."""
-
-    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int):
-        aset = build_active_set(prediction, alpha, n, "nonauth")
-        super().__init__(me, input_bit, n, aset)
-        t = aset.fault_param
-        self.inner_rounds = phase_king_rounds(t - 1) if self.members else 0
-        if self.active:
-            self.inner = PhaseKing(me, input_bit, aset.members, t - 1)
-
-
-class AuthPredBA(_WrapperBase):
-    """Prediction-augmented agreement with signatures (signed-broadcast inner)."""
-
-    def __init__(self, me: int, input_bit: int, prediction, alpha, n: int, signer):
-        aset = build_active_set(prediction, alpha, n, "auth")
-        super().__init__(me, input_bit, n, aset)
-        t = aset.fault_param
-        self.inner_rounds = ds_ba_rounds(t - 1) if self.members else 0
-        if self.active:
-            self.inner = DolevStrongBA(me, input_bit, aset.members, t - 1, signer)

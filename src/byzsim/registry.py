@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .predba import AuthPredBA, PredBA
+from .predba import PredBA
 from .protocols import DolevStrongBA, DolevStrongBroadcast, PhaseKing
 from .simnet import NodeCtx, ScenarioError, field_ids, field_int, field_node
 
@@ -43,7 +43,7 @@ _GROUP = frozenset({"participants", "t"})
 _BUILDERS = {
     "pred_ba": (frozenset(), lambda ctx: PredBA(
         ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n)),
-    "auth_pred_ba": (frozenset(), lambda ctx: AuthPredBA(
+    "auth_pred_ba": (frozenset(), lambda ctx: PredBA(
         ctx.node_id, ctx.input, ctx.prediction, ctx.alpha, ctx.n, ctx.signer)),
     "phase_king": (_GROUP, lambda ctx: PhaseKing(ctx.node_id, ctx.input, *_group(ctx, 3))),
     "dolev_strong_ba": (_GROUP, lambda ctx: DolevStrongBA(

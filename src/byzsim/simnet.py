@@ -41,8 +41,9 @@ byte-identical across runs; being pure, they come from one process-wide
 Memo (_TOKENS), which records nothing about who minted them. Memo is the
 package's get-or-compute cache for pure values; protocols' link digests
 use it the same way. The one exception is predba._active_set's 16-entry
-lru_cache: an active set is reused only within a run, and an unbounded
-Memo would keep every random robustness prediction of a whole battery.
+lru_cache: an active set is reused only within a run, and a Memo would
+keep up to 200,000 random robustness predictions of a battery before it
+empties.
 
 A Scenario states each fact once (its n is its configuration's, its mode
 its protocol's), and every value a scenario file gives goes through one of

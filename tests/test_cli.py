@@ -97,6 +97,38 @@ def test_simulate_missing_file_is_usage_error(tmp_path, capsys):
     assert "byzsim: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("text", "message"), [
+    ("{not json", "scenario file is not valid JSON"),
+    ("[1, 2]", "invalid scenario: the file must hold a JSON object"),
+], ids=["not_json", "array"])
+def test_simulate_file_that_is_no_json_object_is_usage_error(tmp_path, text, message,
+                                                            capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert cli.main(["simulate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"byzsim: error: {message}")
+
+
+# Fraction would build a 10**exponent integer for these before any range check.
+_HUGE_EXPONENTS = ["1e1000000", "1e-1000000", "1e" + "9" * 5000]
+
+
+@pytest.mark.parametrize("alpha", _HUGE_EXPONENTS, ids=["large", "small", "long"])
+def test_alpha_with_an_exponent_longer_than_its_text_is_usage_error(scenario_file, alpha,
+                                                                    capsys):
+    assert cli.main(["curves", "--mode", "auth", "--alpha", alpha, "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"byzsim: error: cannot accept alpha {alpha!r}: "
+                          "alpha must be a finite fraction")
+    doc = json.loads(scenario_file.read_text())
+    doc["alpha"] = alpha
+    scenario_file.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("byzsim: error: invalid scenario: ValueError: "
+                          "alpha must be a finite fraction")
+
+
 def _persona_with_rules(**rules):
     return {"name": "persona_network", "params": {
         "groups": {"w": {"6": {"input": 0, "pred": None}}}, **rules}}
@@ -228,6 +260,10 @@ _MALFORMED = {
             {"group": "w", "senders": [1], "from_group": "w"}]}),
         ("emission_unknown_group", {"emission": [
             {"group": "zz", "senders": None, "receivers": [1]}]}))},
+    "emission_sender_outside_its_group": {
+        "faulty": [5, 6], "inputs": {str(i): i % 2 for i in range(1, 5)},
+        "adversary": _persona_with_rules(emission=[
+            {"group": "w", "senders": [5], "receivers": [1]}])},
     "crash_input_for_honest_id": {"adversary": {"name": "crash_after", "params": {
         "round": 1, "inputs": {"3": 1}}}},
     # Only a missing or null value means "none", and a cutoff is a round.
@@ -269,6 +305,7 @@ def test_simulate_malformed_scenario_is_usage_error(scenario_file, patch, capsys
     ("feed_override_sender_without_instance",
      "feed override group 'w' has no instance of node 1"),
     ("emission_unknown_group", "emission rule names unknown group 'zz'"),
+    ("emission_sender_outside_its_group", "group 'w' has no instance of node 5"),
     ("crash_input_for_honest_id", "crash inputs name non-faulty node 3"),
     ("negative_cutoff", "persona cutoff must be >= 0"),
     ("node_outside_broadcast_participants", "node 4 is not among the participants"),
@@ -593,6 +630,14 @@ def test_sweep_rejects_bad_eta_range(capsys):
     rc = cli.main(["sweep", "--mode", "nonauth", "--alpha", "3/5", "--n", "10",
                    "--eta-range", "5:2", "--seed", "0"])
     assert rc == 2
+
+
+def test_sweep_rejects_eta_range_that_is_not_integers(capsys):
+    rc = cli.main(["sweep", "--mode", "nonauth", "--alpha", "3/5", "--n", "10",
+                   "--eta-range", "a:b", "--seed", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "byzsim: error: --eta-range wants 'lo:hi' or a single integer, got 'a:b'\n"
 
 
 def test_sweep_rejects_unknown_adversary(capsys):

@@ -214,10 +214,18 @@ def test_validation_errors():
     assert as_alpha(0.8) == Fraction(4, 5)
 
 
-@pytest.mark.parametrize("alpha", [True, False, None, [1], "1/0", "inf", float("nan")])
+@pytest.mark.parametrize("alpha", [
+    True, False, None, [1], "1/0", "inf", float("nan"),
+    # an exponent larger in magnitude than its text is long
+    "1e1000000", "1e-1000000", "1e+10"])
 def test_as_alpha_rejects_what_names_no_finite_fraction(alpha):
     with pytest.raises(ValueError, match="alpha must be a finite fraction"):
         as_alpha(alpha)
+
+
+@pytest.mark.parametrize("alpha", ["8e-1", "80E-2", " 0.8e0 ", "8_0e-0_2"])
+def test_as_alpha_reads_a_short_exponent(alpha):
+    assert as_alpha(alpha) == Fraction(4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +259,17 @@ def test_local_error_sum():
     assert compute_local_error(cfg, preds) == 10
     with pytest.raises(ValueError):
         compute_local_error(cfg, {1: frozenset()})
+
+
+@pytest.mark.parametrize("stray", [0, 7])
+def test_error_measures_reject_ids_outside_1_to_n(stray):
+    cfg = _cfg6()
+    with pytest.raises(ValueError, match="prediction contains ids outside 1..n"):
+        compute_error(cfg, frozenset({1, stray}))
+    preds = {i: frozenset({1, 2}) for i in cfg.honest}
+    preds[3] = frozenset({1, stray})
+    with pytest.raises(ValueError, match="prediction of node 3 contains ids outside 1..n"):
+        compute_local_error(cfg, preds)
 
 
 def test_local_constant_vector_matches_global_error():

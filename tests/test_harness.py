@@ -318,6 +318,14 @@ def test_sweep_runs_only_the_chosen_adversaries(monkeypatch):
     assert {r["adversary_set_hash"] for r in rows} == {adversary_set_hash(["silent"])}
 
 
+def test_sweep_counts_a_repeated_adversary_once():
+    def rows(names):
+        return sweep("nonauth", Fraction(3, 5), 6, etas=range(2), trials=3,
+                     adversaries=names)
+
+    assert rows(("silent", "silent", "crash")) == rows(("silent", "crash"))
+
+
 def test_empirical_resilience_skips_fault_counts_no_adversary_can_test():
     # At f = n - 1 one honest node is left, which split_brain cannot target.
     assert theoretical_smoothness("auth", Fraction(4, 5), 4, 0) == 3

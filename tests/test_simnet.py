@@ -357,6 +357,15 @@ def test_adversary_cannot_puppet_honest_instances_in_auth_mode():
         run_simulation(sc, adversary=Puppeteer())
 
 
+def test_nonauth_shadow_instances_of_honest_nodes_cannot_sign():
+    sc = _scenario()
+    ctx = simnet.AdversaryCtx(sc, SignatureLedger(), factory=lambda node_ctx: node_ctx)
+    signer = ctx.make_instance(2, 1, None).signer  # honest id, nonauth mode
+    with pytest.raises(ForgeryError, match="instance of node 2 has no signing key"):
+        signer.sign("digest")
+    assert not signer.verify("token", 2, "digest")
+
+
 def test_adversary_spec_is_serializable_data():
     spec = random_noise(5)
     assert isinstance(spec, AdversarySpec)
