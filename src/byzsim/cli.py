@@ -8,17 +8,16 @@ Four subcommands cover the package's workflows:
   the harness CSV.
 * ``curves`` exports the theoretical bound curves as CSV without running
   any simulation.
-* ``verify`` executes one named acceptance battery and exits nonzero if
-  any assertion inside it fails.
+* ``verify`` executes one named acceptance battery, writes its JSON
+  report, and exits nonzero if any assertion inside it fails. The
+  battery's wall time goes to standard error, never into the report.
 
 Exit codes are a stable contract: 0 success, 1 assertion or internal
 failure, 2 usage error (bad flags, unreadable or invalid input files,
 unwritable output paths). Every output file is opened before the work
 starts, and is written atomically (temp file + rename); it depends only
 on the inputs and the seed, never on wall-clock or iteration order, so
-repeating an invocation reproduces them byte for byte. Battery reports
-are the one exception: they carry an ``elapsed_s`` timing field, which is
-why ``verify`` prints to stdout instead of requiring an output file.
+repeating an invocation reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ import os
 import stat
 import sys
 import tempfile
+import time
 from typing import Iterator, Optional, Sequence
 
-from .core import MODES, as_alpha, check_alpha
+from .core import MODES, check_alpha
 from .harness import (
     ETA_SPLITS,
     SWEEP_TRIALS,
@@ -60,7 +60,8 @@ class UsageError(Exception):
 def _open_mode(path: str) -> int:
     """The permission bits open(path, "w") would leave path with: an existing
     file keeps its own, a new one gets 0o666 less the umask. An empty path
-    or a directory raises what open would."""
+    or a directory raises what open would; so does any existing path that is
+    no regular file (a FIFO, a device), which a rename would replace."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -71,6 +72,8 @@ def _open_mode(path: str) -> int:
         return 0o666 & ~umask
     if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISREG(mode):
+        raise OSError(errno.EINVAL, "not a regular file", path)
     return stat.S_IMODE(mode)
 
 
@@ -89,17 +92,18 @@ def _atomic_output(path: str):
     order, to path atomically.
 
     The temporary file is made on entry, so a path that cannot be written
-    (missing directory, a directory, no permission) is a usage error before
-    the block runs. On a clean exit the file is renamed to path, with the
-    mode a plain open(path, "w") would give it; the temporary file mkstemp
-    makes is readable by its owner only. If the block raises, the temporary
-    file is removed. An OSError while the file is made, written or renamed
-    is a usage error.
+    (missing directory, a directory or other non-regular file, no
+    permission) is a usage error before the block runs. On a clean exit the
+    file is renamed to path, with the mode a plain open(path, "w") would
+    give it; the temporary file mkstemp makes is readable by its owner only.
+    A symlink is written through: the file it resolves to is replaced, and
+    the link stays. If the block raises, the temporary file is removed. An
+    OSError while the file is made, written or renamed is a usage error.
     """
     with _cannot_write(path):
         mode = _open_mode(path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".byzsim-tmp-")
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".byzsim-tmp-")
     fh = os.fdopen(fd, "w")
 
     def write(text):
@@ -111,7 +115,7 @@ def _atomic_output(path: str):
         with _cannot_write(path):
             os.fchmod(fd, mode)
             fh.close()
-            os.replace(tmp, path)
+            os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             fh.close()
@@ -217,14 +221,11 @@ def _transcript_chunks(transcripts) -> Iterator[str]:
     yield "\n  ]\n}\n"
 
 
-def _parse_alpha(text: str, mode: str | None = None):
+def _parse_alpha(text: str, mode: str):
     try:
-        value = as_alpha(text)
-        if mode is not None:
-            check_alpha(mode, value)
-        return value
-    except ValueError as exc:
-        raise UsageError(f"cannot accept alpha {text!r}: {exc}") from None
+        return check_alpha(mode, text)
+    except ValueError as exc:  # the library's text names the input once
+        raise UsageError(str(exc)) from None
 
 
 def _parse_eta_range(text: str, n: int) -> range:
@@ -347,13 +348,12 @@ def cmd_verify(args) -> int:
         if args.suite == "impossibility":
             raise UsageError("--trials does not apply to the impossibility suite")
         kwargs["seeds"] = args.trials
-    saving = _atomic_output(args.out) if args.out is not None else contextlib.nullcontext()
-    with saving as save:
+    with _output(args.out) as write:
+        start = time.perf_counter()
         report = battery(**kwargs)
-        text = _json(report)
-        sys.stdout.write(text)
-        if save:
-            save(text)
+        elapsed = time.perf_counter() - start
+        write(_json(report))
+    print(f"byzsim: {args.suite} battery took {elapsed:.3f} s", file=sys.stderr)
     return 0 if report["ok"] else 1
 
 
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--n", type=_positive_int)
     vf.add_argument("--trials", type=_positive_int,
                     help="seeded trials per cell (suite default otherwise)")
-    vf.add_argument("--out", help="also save the JSON report here")
+    vf.add_argument("--out", help="JSON report file (default: stdout)")
     vf.set_defaults(func=cmd_verify)
 
     return parser

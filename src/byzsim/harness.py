@@ -24,7 +24,6 @@ import io
 import itertools
 import json
 import random
-import time
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -266,7 +265,6 @@ class _Battery:
 
     def __init__(self, suite, cache=None):
         self.suite = suite
-        self.t0 = time.perf_counter()
         self.cache = cache or RunCache()
         self.violations = []
         self.violation_count = 0
@@ -307,7 +305,6 @@ class _Battery:
             "memo_hits": self.cache.hits,
             "violation_count": self.violation_count,
             "violations": self.violations,
-            "elapsed_s": round(time.perf_counter() - self.t0, 3),
         }
         rep.update(extra)
         return rep
@@ -526,7 +523,6 @@ def run_impossibility_suite(theorem: str, alpha, n: int) -> dict:
     validity: that is the point of the construction. Termination failures
     also count as demonstrations.
     """
-    t0 = time.perf_counter()
     scenarios = build_impossibility_scenarios(theorem, alpha, n)
     entries = []
     demonstrated = False
@@ -554,7 +550,6 @@ def run_impossibility_suite(theorem: str, alpha, n: int) -> dict:
         "n": n,
         "configs": entries,
         "demonstrated": demonstrated,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -572,7 +567,6 @@ def transcript_identity_report() -> dict:
     transcripts byte-identical to the all-honest run, and symmetrically for
     side A. The split-brain family gets the same treatment per partition.
     """
-    t0 = time.perf_counter()
     entries = []
 
     def transcripts(scenarios):
@@ -604,13 +598,11 @@ def transcript_identity_report() -> dict:
     compare("T5.2:cfg2-vs-cfg3:B", t52[1], t52[2], tuple(range(5, 9)))
 
     ok = all(e["identical"] for e in entries)
-    return {"suite": "transcripts", "ok": ok, "pairs": entries,
-            "elapsed_s": round(time.perf_counter() - t0, 3)}
+    return {"suite": "transcripts", "ok": ok, "pairs": entries}
 
 
 def verify_impossibility(*, seed: int = 0) -> dict:
     """All lower-bound families demonstrate a violation at feasible points."""
-    t0 = time.perf_counter()
     reports = [run_impossibility_suite(*point) for point in IMPOSSIBILITY_POINTS]
     identity = transcript_identity_report()
     ok = all(r["demonstrated"] for r in reports) and identity["ok"]
@@ -619,7 +611,6 @@ def verify_impossibility(*, seed: int = 0) -> dict:
         "ok": ok,
         "families": reports,
         "transcripts": identity,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 

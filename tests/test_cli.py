@@ -9,6 +9,7 @@ import io
 import json
 import operator
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -117,9 +118,9 @@ _HUGE_EXPONENTS = ["1e1000000", "1e-1000000", "1e" + "9" * 5000]
 def test_alpha_with_an_exponent_longer_than_its_text_is_usage_error(scenario_file, alpha,
                                                                     capsys):
     assert cli.main(["curves", "--mode", "auth", "--alpha", alpha, "--n", "4"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"byzsim: error: cannot accept alpha {alpha!r}: "
-                          "alpha must be a finite fraction")
+    # The text is quoted once, however long it is.
+    assert capsys.readouterr().err == (
+        f"byzsim: error: alpha must be a finite fraction, got {alpha!r}\n")
     doc = json.loads(scenario_file.read_text())
     doc["alpha"] = alpha
     scenario_file.write_text(json.dumps(doc))
@@ -683,18 +684,25 @@ def test_curves_stdout_and_file_match(tmp_path, capsys):
 def test_curves_rejects_bad_alpha(capsys):
     assert cli.main(["curves", "--mode", "auth", "--alpha", "0.3",
                      "--n", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "byzsim: error: alpha=3/10 outside [1/2, 1] for mode 'auth'\n")
 
 
 def test_verify_small_suite(tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    rc = cli.main(["verify", "--suite", "consistency", "--seed", "0",
-                   "--mode", "nonauth", "--alpha", "3/5", "--n", "10",
-                   "--trials", "2", "--out", str(report_path)])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
+    argv = ["verify", "--suite", "consistency", "--seed", "0", "--mode", "nonauth",
+            "--alpha", "3/5", "--n", "10", "--trials", "2"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
     assert doc["ok"] is True and doc["suite"] == "consistency"
-    saved = json.loads(report_path.read_text())
-    assert saved["trials"] == doc["trials"]
+    assert "elapsed_s" not in doc
+    assert re.fullmatch(r"byzsim: consistency battery took \d+\.\d{3} s\n", err)
+    # --out takes the report's place on stdout, the wall time stays on stderr.
+    assert cli.main(argv + ["--out", str(report_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("byzsim: consistency battery took ")
+    assert report_path.read_text() == cli._json(doc)
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
@@ -821,7 +829,7 @@ _WORK = {
 }
 
 
-@pytest.mark.parametrize("unwritable", ["missing directory", "directory"])
+@pytest.mark.parametrize("unwritable", ["missing directory", "directory", "fifo"])
 @pytest.mark.parametrize("command,key", [(command, key) for command, (_, keys)
                                          in _OUTPUTS.items() for key in keys])
 def test_unwritable_output_is_a_usage_error(command, key, unwritable, scenario_file,
@@ -831,12 +839,16 @@ def test_unwritable_output_is_a_usage_error(command, key, unwritable, scenario_f
     bad = tmp_path / ("missing/x.out" if unwritable == "missing directory" else "x.out")
     if unwritable == "directory":
         bad.mkdir()
+    elif unwritable == "fifo":
+        os.mkfifo(bad)  # a rename would put a regular file in its place
     paths = {"scenario": str(scenario_file), "a": str(tmp_path / "a.out"),
              "b": str(tmp_path / "b.out"), key: str(bad)}
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith(f"byzsim: error: cannot write {bad}: ")
     assert not list(tmp_path.rglob(".byzsim-tmp-*"))
     assert not [k for k in outputs if k != key and os.path.exists(paths[k])]
+    if unwritable == "fifo":
+        assert stat.S_ISFIFO(os.lstat(bad).st_mode)
 
 
 def test_empty_transcripts_path_is_a_usage_error_before_the_run(scenario_file, monkeypatch,
@@ -868,6 +880,22 @@ def test_empty_out_path_is_a_usage_error_before_the_work(command, scenario_file,
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr() == ("", "byzsim: error: cannot write : No such file or directory\n")
     assert [p.name for p in tmp_path.iterdir()] == [scenario_file.name]
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+def test_output_is_written_through_a_symlink(tmp_path, target_exists):
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    if target_exists:
+        target.write_text("old\n")
+        os.chmod(target, 0o640)
+    link.symlink_to(target.name)
+    assert cli.main(["curves", "--mode", "auth", "--alpha", "4/5", "--n", "4",
+                     "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == curves_to_csv("auth", Fraction(4, 5), 4)
+    if target_exists:
+        assert _mode(target) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
 
 def test_output_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):

@@ -1,5 +1,5 @@
-"""The runtime uses only the standard library: every import under
-src/byzsim/ is relative or names a standard-library module."""
+"""What src/byzsim/ imports: the runtime uses only the standard library, and
+only the command line reads the clock."""
 
 import ast
 import sys
@@ -8,7 +8,8 @@ from pathlib import Path
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "byzsim").glob("*.py"))
 
 
-def _outside_imports(path):
+def _absolute_imports(path):
+    """(line, top-level module) for every absolute import in path."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -17,10 +18,19 @@ def _outside_imports(path):
         else:
             continue
         for name in names:
-            if name.partition(".")[0] not in sys.stdlib_module_names:
-                yield f"{path.name}:{node.lineno}: {name}"
+            yield node.lineno, name.partition(".")[0]
 
 
 def test_every_import_is_relative_or_standard_library():
     assert "core.py" in {p.name for p in SOURCES}
-    assert [bad for path in SOURCES for bad in _outside_imports(path)] == []
+    assert [f"{path.name}:{line}: {name}" for path in SOURCES
+            for line, name in _absolute_imports(path)
+            if name not in sys.stdlib_module_names] == []
+
+
+def test_only_the_cli_reads_the_clock():
+    # Reports, CSVs and transcripts are pure functions of inputs and seed;
+    # the CLI alone may time a call and print the time apart from them.
+    assert [f"{path.name}:{line}: {name}" for path in SOURCES if path.name != "cli.py"
+            for line, name in _absolute_imports(path)
+            if name in ("time", "datetime")] == []

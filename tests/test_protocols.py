@@ -1,11 +1,13 @@
 """Inner-protocol checks: phase king, signed broadcast, broadcast-based BA.
 
 Everything here drives the protocols through the engine with explicit
-participants/budget params, the same way the wrappers schedule them.
+participants/budget params, the same way the wrappers schedule them, except
+the Phase King tallies, which are fed hand-built inboxes.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import byzsim.protocols as protocols
@@ -107,6 +109,22 @@ def test_phase_king_decides_exactly_on_schedule():
     ):
         out = _run("phase_king", n, faulty, inputs, t=t)
         assert out.decided_round == phase_king_rounds(t) == 3 * (t + 1)
+
+
+# Malformed payloads: a non-sequence, an empty tuple, a message cut short.
+_JUNK = {"int": 5, "empty": (), "short": ("pk", 0)}
+
+
+@pytest.mark.parametrize("junk", list(_JUNK.values()), ids=list(_JUNK))
+def test_phase_king_tallies_skip_a_malformed_payload(junk):
+    # Only a sender's first matching message counts, so a malformed one
+    # before it must not use up the sender's turn.
+    group = frozenset({1, 2, 3})
+    inbox = [(2, junk), (2, ("pk", 0, "val", 1)), (3, junk), (3, ("pk", 0, "val", 0)),
+             (3, ("pk", 0, "val", 1))]
+    assert protocols._pk_counts(inbox, 0, "val", group) == [1, 1]
+    assert protocols._king_value([(2, junk), (2, ("pk", 0, "king", 1))], 0, 2) == 1
+    assert protocols._king_value([(2, junk)], 0, 2) == 0
 
 
 def test_phase_king_thousand_seed_battery():
