@@ -179,22 +179,19 @@ def build_eta_prediction(config: Configuration, eta: int, split: str) -> frozens
 
 
 def check_outcome(scenario: Scenario, outcome: Outcome) -> dict:
-    """Recompute the three properties from raw decisions.
+    """Recompute the three properties from raw decisions; validity asks for
+    registry.required_decision's value, and neither holds without termination.
 
     Independent of the engine's own flags; a disagreement between the two
     routes is itself reported (engine_consistent) and counts as a failure.
     """
+    from .registry import required_decision  # importing byzsim loads no protocol
     honest = sorted(scenario.config.honest)
     decisions = [outcome.decisions.get(i) for i in honest]
     termination = all(d is not None for d in decisions)
     agreement = termination and len(set(decisions)) <= 1
-    inputs = set(scenario.config.inputs.values())
-    if not termination:
-        validity = False
-    elif len(inputs) == 1:
-        validity = set(decisions) == inputs
-    else:
-        validity = True
+    required = required_decision(scenario)
+    validity = termination and (required is None or set(decisions) == {required})
     engine_consistent = (
         agreement == outcome.agreement
         and validity == outcome.validity
@@ -269,32 +266,28 @@ class _Battery:
         self.violations = []
         self.violation_count = 0
 
-    def check(self, scenario, *, check=check_outcome, label=None):
+    def check(self, scenario, *, label=None):
         """Run, check and, on failure, record one trial."""
         outcome = self.cache.run(scenario)
-        checks = check(scenario, outcome)
+        checks = check_outcome(scenario, outcome)
         if not checks["ok"]:
             self.record(scenario, checks, label)
         return outcome, checks
 
     def record(self, scenario, checks, label=None, **detail):
-        """Keep a failed trial as its scenario file and its three flags;
-        detail names a failed check that is none of the three."""
-        self.add({
-            "battery": label or self.suite,
-            "scenario": scenario.to_json(),
-            "agreement": checks["agreement"],
-            "validity": checks["validity"],
-            "termination": checks["termination"],
-            **detail,
-        })
-
-    def add(self, violation):
-        """Count a violation; only the first 40, which the report lists,
-        are kept."""
+        """Count a failed trial and keep the first 40, which the report
+        lists, as its scenario file and its three flags; detail names a
+        failed check that is none of the three."""
         self.violation_count += 1
         if len(self.violations) < 40:
-            self.violations.append(violation)
+            self.violations.append({
+                "battery": label or self.suite,
+                "scenario": scenario.to_json(),
+                "agreement": checks["agreement"],
+                "validity": checks["validity"],
+                "termination": checks["termination"],
+                **detail,
+            })
 
     def report(self, ok=True, **extra) -> dict:
         rep = {
@@ -684,29 +677,14 @@ def verify_local(*, seeds: int = 25, grid=LOCAL_GRID, seed: int = 0,
                     tally.record(sc, checks, check="constant-vs-global",
                                  local_round=outcome.decided_round,
                                  global_round=twin.decided_round)
+    # T5.2 runs outside the tally; an undemonstrated family records its first configuration.
     t52 = run_impossibility_suite("T5.2", Fraction(1, 2), 8)
     if not t52["demonstrated"]:
-        tally.add({"battery": "local", "check": "t52-demonstration",
-                   "detail": "no failing configuration found"})
+        tally.record(build_impossibility_scenarios("T5.2", Fraction(1, 2), 8)[0],
+                     t52["configs"][0], check="t52-demonstration")
     return tally.report(divergent_runs=divergent_runs,
                         divergent_failures=divergent_failures,
                         t52_demonstrated=t52["demonstrated"])
-
-
-def _broadcast_checks(scenario: Scenario, outcome: Outcome) -> dict:
-    honest = sorted(scenario.config.honest)
-    decisions = [outcome.decisions.get(i) for i in honest]
-    termination = all(d is not None for d in decisions)
-    consistency = termination and len(set(decisions)) <= 1
-    sender = scenario.params["sender"]
-    if sender in scenario.config.faulty:
-        validity = True
-    else:
-        validity = termination and set(decisions) == {scenario.config.inputs[sender]}
-    return {"agreement": consistency, "validity": validity,
-            "termination": termination,
-            "engine_consistent": True,
-            "ok": consistency and validity and termination}
 
 
 def verify_protocols(*, seeds: int | None = None, seed: int = 0, cache=None) -> dict:
@@ -763,7 +741,7 @@ def verify_protocols(*, seeds: int | None = None, seed: int = 0, cache=None) -> 
                                              value, adv_name, k)
                     sc = _scenario("dolev_strong_broadcast", Fraction(3, 4), config, None,
                                    adv_name, trial_seed, t=t, sender=1)
-                    tally.check(sc, check=_broadcast_checks, label="dolev_strong_broadcast")
+                    tally.check(sc, label="dolev_strong_broadcast")
 
     # Multi-sender agreement built on the broadcast, small confidence pass.
     m, t = 7, 2

@@ -16,8 +16,8 @@ stay silent, wait out the inner schedule, and adopt any value reported by at
 least |L| - t + 1 members of L (a strict majority of L, so at most one value
 qualifies); failing that they fall back to their own input. Everyone decides
 in the same round: 3t + 1 in nonauth mode, t + 2 in auth mode. The adopt
-counts depend only on the inbox and L's members, so nodes handed the same
-inbox count it once (see simnet.once_per_inbox).
+counts (protocols.first_votes) depend only on the inbox and L's members, so
+nodes handed the same inbox count it once (see simnet.once_per_inbox).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import check_alpha
-from .protocols import DolevStrongBA, PhaseKing, ds_ba_rounds, phase_king_rounds
+from .protocols import (DolevStrongBA, PhaseKing, ds_ba_rounds, first_votes,
+                        phase_king_rounds)
 from .simnet import once_per_inbox
 
 
@@ -124,25 +125,9 @@ class PredBA:
         if self.active:
             self.decision = self.inner.decision
             return
-        counts = once_per_inbox(inbox, _adopt_counts, self.members)
+        counts = once_per_inbox(inbox, first_votes, self.members, "adopt")
         for b in (0, 1):
             if counts[b] >= self.adopt_threshold:
                 self.decision = b
                 return
         self.decision = self.input
-
-
-def _adopt_counts(inbox, members: frozenset) -> list:
-    """Per-value counts of the first well-formed adopt message per member."""
-    counts = [0, 0]
-    seen = set()
-    for s, p in inbox:
-        if s in seen or s not in members:
-            continue
-        try:
-            if p[0] == "adopt" and p[1] in (0, 1):
-                seen.add(s)
-                counts[p[1]] += 1
-        except (TypeError, ValueError, IndexError):
-            continue
-    return counts

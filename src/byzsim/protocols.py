@@ -5,10 +5,11 @@ outbox/deliver API. Rounds are global and start at 1; when a wrapper embeds
 one of these it starts it at round 1 of the run as well, so no offsets are
 involved anywhere.
 
-Message hygiene rules shared by both protocols: a node considers only the
-first message per sender matching the expected shape of the current step;
-everything malformed, duplicated or out of step is ignored (absence and
-garbage are treated alike). Broadcasts include the sender itself.
+Message hygiene rules shared by both protocols and the wrapper: a node
+considers only the first message per sender matching the expected shape of
+the current step (first_votes, for every Phase King tally and the wrapper's
+adopts); everything malformed, duplicated or out of step is ignored
+(absence and garbage are treated alike). Broadcasts include the sender.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class PhaseKing:
              support was below m-t adopt the king's value (default 0 when
              the king is silent or garbled)
 
-    Tallies and king lookups depend only on the inbox, the phase, and the
+    Its tallies (first_votes) depend only on the inbox, the phase, and the
     group or the king, so they are computed once per inbox and shared by
     every instance handed it (see simnet.once_per_inbox).
     """
@@ -91,7 +92,7 @@ class PhaseKing:
             return
         phase, step = divmod(rnd - 1, 3)
         if step == 0:
-            counts = once_per_inbox(inbox, _pk_counts, phase, "val", self._group)
+            counts = once_per_inbox(inbox, first_votes, self._group, "pk", phase, "val")
             self._propose = None
             for b in (0, 1):
                 if counts[b] >= self.m - self.t:
@@ -99,44 +100,41 @@ class PhaseKing:
                     break
             self._support = 0
         elif step == 1:
-            counts = once_per_inbox(inbox, _pk_counts, phase, "prop", self._group)
+            counts = once_per_inbox(inbox, first_votes, self._group, "pk", phase, "prop")
             if max(counts) > self.t:
                 self.value = 0 if counts[0] >= counts[1] else 1
             self._support = counts[self.value]
         else:
             if self._support < self.m - self.t:
-                self.value = once_per_inbox(inbox, _king_value, phase, self._king(phase))
+                king = (self._king(phase),)
+                votes = once_per_inbox(inbox, first_votes, king, "pk", phase, "king")
+                self.value = 1 if votes == [0, 1] else 0
             if rnd == self.rounds:
                 self.decision = self.value
 
 
-def _pk_counts(inbox, phase: int, word: str, group: frozenset) -> list:
-    """Per-value counts of the first matching message per group sender."""
+def first_votes(inbox, group, *head) -> list:
+    """Per-bit counts of the first vote of each sender in group: its first
+    message (*head, bit, ...) with bit 0 or 1. A message of any other shape
+    does not use up its sender's turn."""
     counts = [0, 0]
-    seen = set()
+    pending = set(group)
+    k = len(head) + 1
+    zero, one = head + (0,), head + (1,)
     for s, p in inbox:
-        if s in seen or s not in group:
-            continue
-        try:
-            if p[0] == "pk" and p[1] == phase and p[2] == word and p[3] in (0, 1):
-                seen.add(s)
-                counts[p[3]] += 1
-        except (TypeError, ValueError, IndexError):
-            continue
+        if s in pending:
+            try:
+                vote = p if len(p) == k else p[:k]
+            except TypeError:
+                continue
+            if vote == zero:
+                counts[0] += 1
+            elif vote == one:
+                counts[1] += 1
+            else:
+                continue
+            pending.discard(s)
     return counts
-
-
-def _king_value(inbox, phase: int, king: int) -> int:
-    """The value of the king's first well-formed king message, else 0."""
-    for s, p in inbox:
-        if s != king:
-            continue
-        try:
-            if p[0] == "pk" and p[1] == phase and p[2] == "king" and p[3] in (0, 1):
-                return p[3]
-        except (TypeError, ValueError, IndexError):
-            continue
-    return 0
 
 
 # Link digests are pure functions of key = (sender, value, signer prefix),
@@ -265,6 +263,11 @@ class _SignedRelays:
             self._relays[1] = [(self.participants, ("ds", me, 1, v, chain))]
             self.extracted[me] = {v}
 
+    def output(self, sender) -> int:
+        """sender's broadcast output: the one value extracted from it, else 0."""
+        values = self.extracted.get(sender, ())
+        return next(iter(values)) if len(values) == 1 else 0
+
     def _extract(self, rnd: int, inbox, index: _ChainIndex, offers) -> None:
         """Extract the values of inbox's valid relays from the senders in
         offers, (sender, offered values) pairs of index.relays in ascending
@@ -322,8 +325,7 @@ class DolevStrongBroadcast(_SignedRelays):
             if offered is not None:
                 self._extract(rnd, inbox, index, ((self.sender, offered),))
         if rnd == self.rounds:
-            values = self.extracted.get(self.sender, ())
-            self.decision = next(iter(values)) if len(values) == 1 else 0
+            self.decision = self.output(self.sender)
 
 
 class DolevStrongBA(_SignedRelays):
@@ -331,8 +333,8 @@ class DolevStrongBA(_SignedRelays):
 
     After the t+1 broadcast rounds each node takes the majority of the m
     broadcast outputs (ties to 0) as its decision, then one more round
-    exchanges the decisions so they appear in transcripts. A broadcast's
-    output is the one value extracted from it, else 0.
+    exchanges the decisions so they appear in transcripts (see
+    _SignedRelays.output).
     """
 
     def __init__(self, me, input_bit, participants, t, signer):
@@ -357,5 +359,5 @@ class DolevStrongBA(_SignedRelays):
             index = once_per_inbox(inbox, _ChainIndex, rnd, self._group)
             self._extract(rnd, inbox, index, index.relays.items())
         if rnd == self.rounds - 1:
-            ones = sum(values == {1} for values in self.extracted.values())
+            ones = sum(map(self.output, self.extracted))
             self._verdict = 1 if 2 * ones > len(self.participants) else 0

@@ -18,10 +18,10 @@ from .protocols import DolevStrongBA, DolevStrongBroadcast, PhaseKing
 from .simnet import NodeCtx, ScenarioError, field_ids, field_int, field_node
 
 
-def _group(ctx: NodeCtx, resilience: int):
+def _group(ctx, resilience: int):
     """Participants and budget t: by default everyone, at the largest t with
     resilience * t < len(group). Only a missing or null participants means
-    everyone."""
+    everyone. ctx is a NodeCtx or a Scenario: both have params and n."""
     p = ctx.params.get("participants")
     group = range(1, ctx.n + 1) if p is None else field_ids(p, ctx.n, "participant")
     if not group:
@@ -30,9 +30,14 @@ def _group(ctx: NodeCtx, resilience: int):
     return tuple(sorted(group)), field_int(t, "budget t")
 
 
-def _dolev_strong_broadcast(ctx: NodeCtx):
+def _broadcast_group(ctx):
+    """A signed broadcast's participants, budget t and sender (by default the first)."""
     group, t = _group(ctx, 2)
-    sender = field_node(ctx.params.get("sender", group[0]), ctx.n, "sender")
+    return group, t, field_node(ctx.params.get("sender", group[0]), ctx.n, "sender")
+
+
+def _dolev_strong_broadcast(ctx: NodeCtx):
+    group, t, sender = _broadcast_group(ctx)
     return DolevStrongBroadcast(ctx.node_id, sender, ctx.input, group, t, ctx.signer)
 
 
@@ -61,3 +66,14 @@ def factory_for(scenario):
         raise ScenarioError(
             f"protocol {scenario.protocol!r} reads no params {sorted(map(str, unread))}")
     return build
+
+
+def required_decision(scenario):
+    """The value validity asks every honest node of a run to decide, or None
+    if it asks for none: a signed broadcast's honest sender's input (None
+    when the sender is faulty), and for every other protocol the honest
+    nodes' common input (None when they differ)."""
+    if scenario.protocol == "dolev_strong_broadcast":
+        return scenario.config.inputs.get(_broadcast_group(scenario)[2])
+    inputs = set(scenario.config.inputs.values())
+    return inputs.pop() if len(inputs) == 1 else None

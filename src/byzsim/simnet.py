@@ -17,11 +17,11 @@ Inboxes are read-only. Ids addressed by exactly the same receiver tuples
 in a round get the same messages, so they share one inbox list, and a
 deliver or observe that mutated its inbox would change what other nodes
 receive. Every inbox handed out is an Inbox, which carries the results
-computed from it (see once_per_inbox): the Dolev-Strong chain index, the
-Phase King tallies and king lookups, and the wrappers' adopt counts are
-computed once per shared inbox and live and die with it. A persona view
-equal to an honest node's inbox of the round is that inbox, so personas
-share those results too.
+computed from it (see once_per_inbox): the Dolev-Strong chain index and
+the first-vote tallies (protocols.first_votes: Phase King's values,
+proposals and king, and the wrappers' adopts) are computed once per shared
+inbox and live and die with it. A persona view equal to an honest node's
+inbox of the round is that inbox, so personas share those results too.
 
 A run terminates when every honest node has decided, or fails to terminate
 once the round budget 4*(n+2) is exhausted.
@@ -653,9 +653,9 @@ def run_simulation(
     show to be bad only while the nodes and the adversary are built raise
     ScenarioError; anything raised during the rounds propagates as it is.
     """
-    if protocol is None:
-        from .registry import factory_for
+    from .registry import factory_for, required_decision
 
+    if protocol is None:
         protocol = factory_for(scenario)
     if adversary is None:
         from .adversary import build_strategy
@@ -713,20 +713,13 @@ def run_simulation(
     decisions = {i: nodes[i].decision for i in honest if nodes[i].decision is not None}
     terminated = len(decisions) == len(honest)
     last = max(decided_round.values()) if decided_round else 0
-    agreement = terminated and len(set(decisions.values())) <= 1
-    inputs = set(sc.config.inputs.values())
-    if not terminated:
-        validity = False
-    elif len(inputs) == 1:
-        (b,) = inputs
-        validity = all(v == b for v in decisions.values())
-    else:
-        validity = True
+    required = required_decision(sc)
     outcome = Outcome(
         decisions=decisions,
         decided_round=last if terminated else None,
-        agreement=agreement,
-        validity=validity,
+        agreement=terminated and len(set(decisions.values())) <= 1,
+        validity=terminated and (required is None
+                                 or all(v == required for v in decisions.values())),
         termination=terminated,
     )
     transcripts = (

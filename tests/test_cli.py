@@ -85,6 +85,28 @@ def test_simulate_is_byte_deterministic(scenario_file, tmp_path):
     assert len(doc["transcripts"]) == 5  # honest nodes only
 
 
+@pytest.mark.parametrize("adversary,params,honest_input", [
+    (split_brain(((2,), (3, 4)), 1, 0), {"t": 1}, 1),
+    (replay_honest(1), {"t": 1, "sender": 1}, 0),
+], ids=["equivocates", "replays"])
+def test_simulate_broadcast_from_a_faulty_sender_is_valid(adversary, params, honest_input,
+                                                           tmp_path, capsys):
+    # Validity asks nothing of a signed broadcast whose sender (by default
+    # node 1) is faulty, even when the honest inputs are unanimous and the
+    # honest nodes agree on the other value.
+    inputs = dict.fromkeys((2, 3, 4), honest_input)
+    sc = Scenario(alpha=Fraction(3, 4), config=Configuration(4, frozenset({1}), inputs),
+                  prediction=None, adversary=adversary, seed=0,
+                  protocol="dolev_strong_broadcast", params=params)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(sc.to_json()))
+    assert cli.main(["simulate", "--scenario", str(path)]) == 0
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert set(outcome["decisions"].values()) == {1 - honest_input}
+    assert outcome["agreement"] and outcome["termination"]
+    assert outcome["validity"] is True
+
+
 def test_simulate_seed_override(scenario_file, capsys):
     assert cli.main(["simulate", "--scenario", str(scenario_file),
                      "--seed", "9"]) == 0
@@ -554,7 +576,8 @@ def test_transcript_writer_matches_json_dumps_on_hand_built_transcripts(ts):
 
 
 def _pinned_scenarios():
-    """One nonauth split_brain and one auth replay_honest run at n = 12."""
+    """One nonauth split_brain and one auth replay_honest wrapper run at
+    n = 12, and one run of each bare protocol at n = 7."""
     ids = range(1, 13)
     faulty = frozenset({3, 7, 11})
     honest = [i for i in ids if i not in faulty]
@@ -569,10 +592,39 @@ def _pinned_scenarios():
                                            {i: 0 for i in ids if i not in faulty}),
                       prediction=frozenset(ids), adversary=replay_honest(1),
                       seed=5, protocol="auth_pred_ba")
-    return {"split_brain": brain, "replay_honest": replay}
+
+    def bare(protocol, alpha, faulty, inputs, adversary, **params):
+        honest = [i for i in range(1, 8) if i not in faulty]
+        return Scenario(alpha=alpha, config=Configuration(7, frozenset(faulty),
+                                                          dict(zip(honest, inputs))),
+                        prediction=None, adversary=adversary, seed=5,
+                        protocol=protocol, params=params)
+
+    return {
+        "split_brain": brain,
+        "replay_honest": replay,
+        "phase_king_noise": bare("phase_king", Fraction(2, 3), {1, 5}, (0, 1, 1, 0, 1),
+                                 random_noise(3), t=2),
+        "dolev_strong_ba_replay": bare("dolev_strong_ba", Fraction(3, 4), {6, 7},
+                                       (1, 0, 1, 0, 0), replay_honest(1), t=2),
+        "dolev_strong_broadcast_honest": bare(
+            "dolev_strong_broadcast", Fraction(3, 4), {5, 7}, (1,) * 5, random_noise(3),
+            t=2, sender=1),
+    }
 
 
-# sha256 of the (outcome, transcript) files, taken before the streaming writer.
+def _simulate_digests(name, tmp_path) -> tuple:
+    """sha256 of the (outcome, transcript) files simulate writes for a
+    pinned scenario."""
+    path, out, tr = (tmp_path / f for f in ("sc.json", "out.json", "tr.json"))
+    path.write_text(json.dumps(_pinned_scenarios()[name].to_json()))
+    assert cli.main(["simulate", "--scenario", str(path),
+                     "--out", str(out), "--transcripts", str(tr)]) == 0
+    return tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, tr))
+
+
+# The wrapper runs' digests were taken before the streaming writer, the
+# bare protocols' before the one first-vote tally.
 _PINNED_DIGESTS = {
     "split_brain": (
         "a801feb205d8bfdeccec3c84985689d89f14df5214dceff76ea24c680acbe812",
@@ -580,17 +632,21 @@ _PINNED_DIGESTS = {
     "replay_honest": (
         "d78663d4b42e1164ebaa16e1dd9833f18e68d94d4afe7f79fd664f9675c971c2",
         "e9d8491b92d1c3b4f9eccc7531f84da57c4eda0cf310a0a8d64f260f7e862909"),
+    "phase_king_noise": (
+        "267e38a63dab1f590925552e74a984e772e2908f8977e7af8afea26d98d288a8",
+        "d9dbf7c06e6e7a82243baa0877418b4ddf0f75adbccd4d5945b9a1727d00bb44"),
+    "dolev_strong_ba_replay": (
+        "dc396e31b151d91185aa4badc91365fba0773c8f8997ec8660dc44c73d12479a",
+        "5a8875a3c688916bd405df9b18e29d520eea693668d7c30b77f148917f29b892"),
+    "dolev_strong_broadcast_honest": (
+        "3fa80653917b13096264a4bdd1805f65976421709993ff23ecf247bbf7cddf6f",
+        "d5fec20b9e8900e4d2457fb8c72392063b0453ec48b3fce98e6fd54a0f012d86"),
 }
 
 
 @pytest.mark.parametrize("name", list(_PINNED_DIGESTS))
 def test_simulate_files_keep_their_bytes(name, tmp_path):
-    path, out, tr = (tmp_path / f for f in ("sc.json", "out.json", "tr.json"))
-    path.write_text(json.dumps(_pinned_scenarios()[name].to_json()))
-    assert cli.main(["simulate", "--scenario", str(path),
-                     "--out", str(out), "--transcripts", str(tr)]) == 0
-    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, tr))
-    assert digests == _PINNED_DIGESTS[name]
+    assert _simulate_digests(name, tmp_path) == _PINNED_DIGESTS[name]
 
 
 def test_sweep_is_byte_deterministic(tmp_path):
@@ -1023,3 +1079,15 @@ def test_simulate_every_single_mutation_exits_zero_or_two():
                 if rc not in (0, 2):
                     failures.append((path, err.getvalue().strip()))
     assert not failures, (len(failures), failures[:5])
+
+
+if __name__ == "__main__":
+    # Print every pinned scenario's current digests as a _PINNED_DIGESTS
+    # literal, for retaking them after a deliberate byte change:
+    #   PYTHONPATH=src python tests/test_cli.py
+    print("_PINNED_DIGESTS = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in _pinned_scenarios():
+            out, tr = _simulate_digests(name, Path(tmp))
+            print(f'    "{name}": (\n        "{out}",\n        "{tr}"),')
+    print("}")

@@ -295,13 +295,23 @@ def test_verify_local_records_a_constant_vector_unlike_its_global_twin():
 
 
 def test_verify_local_records_an_undemonstrated_t52(monkeypatch):
+    # The record takes the common shape: T5.2's first configuration as its
+    # scenario, with that configuration's three flags. The T5.2 runs stay
+    # outside the trial counts.
+    grid = (("nonauth", Fraction(3, 5), 12),)
+    shown = verify_local(seeds=1, grid=grid)
+    first = {"agreement": True, "validity": False, "termination": True}
     monkeypatch.setattr(harness, "run_impossibility_suite",
-                        lambda theorem, alpha, n: {"demonstrated": False})
-    rep = verify_local(seeds=1, grid=(("nonauth", Fraction(3, 5), 12),))
+                        lambda theorem, alpha, n: {"demonstrated": False,
+                                                   "configs": [first]})
+    rep = verify_local(seeds=1, grid=grid)
     assert not rep["ok"] and rep["t52_demonstrated"] is False
     assert rep["violation_count"] == 1
-    assert rep["violations"] == [{"battery": "local", "check": "t52-demonstration",
-                                  "detail": "no failing configuration found"}]
+    sc = build_impossibility_scenarios("T5.2", Fraction(1, 2), 8)[0]
+    assert rep["violations"] == [{"battery": "local", "scenario": sc.to_json(),
+                                  "agreement": True, "validity": False,
+                                  "termination": True, "check": "t52-demonstration"}]
+    assert (rep["trials"], rep["unique_runs"]) == (shown["trials"], shown["unique_runs"])
 
 
 def test_listed_violations_replay_through_simulate(monkeypatch, tmp_path):
@@ -331,6 +341,27 @@ def test_verify_protocols_small():
     rep = verify_protocols(seeds=2)
     assert rep["ok"] and rep["violation_count"] == 0
     assert rep["ledger_fired"] is False
+
+
+def test_engine_flags_equal_check_outcome_on_every_protocols_run(monkeypatch):
+    # check_outcome recomputes the three flags from the raw decisions; on
+    # every run of every inner-protocol battery, the signed broadcast's
+    # included, the engine's own flags are the same.
+    flags = ("agreement", "validity", "termination")
+    runs, differ = {}, []
+
+    def spy(scenario, outcome):
+        checks = check_outcome(scenario, outcome)
+        runs[scenario.protocol] = runs.get(scenario.protocol, 0) + 1
+        if tuple(checks[f] for f in flags) != tuple(getattr(outcome, f) for f in flags):
+            differ.append(scenario.to_json())
+        return checks
+
+    monkeypatch.setattr(harness, "check_outcome", spy)
+    rep = verify_protocols(seeds=2)
+    assert not differ, differ[:3]
+    assert set(runs) == {"phase_king", "dolev_strong_broadcast", "dolev_strong_ba"}
+    assert sum(runs.values()) == rep["trials"]
 
 
 def test_empirical_resilience_meets_theory():

@@ -2,8 +2,8 @@
 personas with the same view share one list, a persona view equal to an
 honest node's inbox is that inbox, and every instance of a run
 computes a node-independent result once per list: the Dolev-Strong chain
-index, the Phase King tallies and king lookups, and the wrappers' adopt
-counts. These tests pin what sharing relies on: no deliver or observe
+index and the first-vote tallies (Phase King's values, proposals and king,
+and the wrappers' adopts). These tests pin what sharing relies on: no deliver or observe
 mutates an inbox, sharing changes no outcome, transcript or minted
 signature, no chain accepted in round r rests on a signature first minted
 during round r, a cached result is keyed on everything node-specific it
@@ -383,24 +383,31 @@ def test_no_cache_outlives_its_run():
 # ---------------------------------------------------------------------------
 
 
+def _what(name, args):
+    """What a once_per_inbox call of the function name computes: a
+    first-vote tally is told apart by its head's first element, "pk" for
+    Phase King and "adopt" for the wrapper, from args = (group, *head)."""
+    return (name, args[1]) if name == "first_votes" else (name, None)
+
+
 def _counted_run(monkeypatch, sc):
     """Run sc; returns (asked, computed): how often honest nodes and persona
-    instances asked once_per_inbox for a tally, chain index or adopt count,
-    and how often one was computed, keyed by (who, function name)."""
+    instances asked once_per_inbox for a first-vote tally or a chain index,
+    and how often one was computed, keyed by (who, _what)."""
     asked, computed = Counter(), Counter()
     who = [None]
     names = {}
-    for module, name in ((protocols, "_pk_counts"), (protocols, "_ChainIndex"),
-                         (predba, "_adopt_counts")):
-        def counting(inbox, *args, fn=getattr(module, name), name=name):
-            computed[who[0], name] += 1
+    for name in ("first_votes", "_ChainIndex"):
+        def counting(inbox, *args, fn=getattr(protocols, name), name=name):
+            computed[who[0], _what(name, args)] += 1
             return fn(inbox, *args)
         names[counting] = name
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(protocols, name, counting)
+    monkeypatch.setattr(predba, "first_votes", protocols.first_votes)
 
     def asking(inbox, fn, *args):
         if fn in names:
-            asked[who[0], names[fn]] += 1
+            asked[who[0], _what(names[fn], args)] += 1
         return simnet.once_per_inbox(inbox, fn, *args)
 
     monkeypatch.setattr(protocols, "once_per_inbox", asking)
@@ -434,9 +441,10 @@ def test_honest_nodes_and_personas_compute_each_result_once_per_shared_inbox(
         for key, calls in asked.items():
             assert computed[key] * 3 < calls, (name, key, computed[key])
         kinds |= set(asked)
-    assert kinds == {("honest", "_pk_counts"), ("honest", "_ChainIndex"),
-                     ("persona", "_pk_counts"), ("persona", "_ChainIndex"),
-                     ("persona", "_adopt_counts")}
+    pk, adopt = ("first_votes", "pk"), ("first_votes", "adopt")
+    index = ("_ChainIndex", None)
+    assert kinds == {("honest", pk), ("honest", index),
+                     ("persona", pk), ("persona", index), ("persona", adopt)}
 
 
 @pytest.mark.parametrize("name", ["split_brain", "split_brain_nonauth", "persona_views",
@@ -486,13 +494,14 @@ def test_persona_views_equal_to_an_honest_inbox_are_that_inbox(monkeypatch, name
     sc = _EQUAL_VIEWS[name]
     honest_boxes = {}  # round -> the inboxes honest nodes were handed
     persona_views = []  # (round, inbox) of every persona delivery
-    built = Counter()  # (function, round, args, inbox contents) -> builds
+    built = Counter()  # (_what, round, args, inbox contents) -> builds
     rnd_now = [None]
-    for fn_name in ("_pk_counts", "_ChainIndex"):
+    for fn_name in ("first_votes", "_ChainIndex"):
         def counting(inbox, *args, fn=getattr(protocols, fn_name), fn_name=fn_name):
-            built[fn_name, rnd_now[0], args, tuple(inbox)] += 1
+            built[_what(fn_name, args), rnd_now[0], args, tuple(inbox)] += 1
             return fn(inbox, *args)
         monkeypatch.setattr(protocols, fn_name, counting)
+    monkeypatch.setattr(predba, "first_votes", protocols.first_votes)
     make = factory_for(sc)
 
     def factory(ctx):

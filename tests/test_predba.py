@@ -11,7 +11,8 @@ from byzsim.core import (
     robustness_bound,
     theoretical_smoothness,
 )
-from byzsim.predba import ActiveSet, _adopt_counts, build_active_set
+from byzsim.predba import ActiveSet, build_active_set
+from byzsim.protocols import first_votes
 from byzsim.simnet import Scenario, run_simulation
 
 
@@ -190,7 +191,7 @@ def test_adopt_counts_skip_a_malformed_payload(junk):
     # one before it must not use up the member's turn; non-members never count.
     inbox = [(1, junk), (1, ("adopt", 1)), (2, junk), (2, ("adopt", 0)), (2, ("adopt", 1)),
              (9, ("adopt", 1))]
-    assert _adopt_counts(inbox, frozenset({1, 2, 3})) == [1, 1]
+    assert first_votes(inbox, frozenset({1, 2, 3}), "adopt") == [1, 1]
 
 
 def test_passives_fall_back_to_own_input_when_actives_fail():

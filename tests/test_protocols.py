@@ -122,9 +122,11 @@ def test_phase_king_tallies_skip_a_malformed_payload(junk):
     group = frozenset({1, 2, 3})
     inbox = [(2, junk), (2, ("pk", 0, "val", 1)), (3, junk), (3, ("pk", 0, "val", 0)),
              (3, ("pk", 0, "val", 1))]
-    assert protocols._pk_counts(inbox, 0, "val", group) == [1, 1]
-    assert protocols._king_value([(2, junk), (2, ("pk", 0, "king", 1))], 0, 2) == 1
-    assert protocols._king_value([(2, junk)], 0, 2) == 0
+    assert protocols.first_votes(inbox, group, "pk", 0, "val") == [1, 1]
+    # The king's vote, whose first message is junk, and a king heard only as junk.
+    king = [(2, junk), (2, ("pk", 0, "king", 1)), (2, ("pk", 0, "king", 0))]
+    assert protocols.first_votes(king, (2,), "pk", 0, "king") == [0, 1]
+    assert protocols.first_votes([(2, junk)], (2,), "pk", 0, "king") == [0, 0]
 
 
 def test_phase_king_thousand_seed_battery():
